@@ -339,7 +339,7 @@ func BenchmarkAblation_LiteralGains(b *testing.B) {
 
 // BenchmarkTelemetry_Overhead measures the instrumentation cost of a full
 // MinObsWin run: the always-on no-op recorder (the ≤1% overhead budget of
-// DESIGN.md §9) against a live in-memory collector and a nil recorder.
+// DESIGN.md §9) against a live per-run trace and a nil recorder.
 func BenchmarkTelemetry_Overhead(b *testing.B) {
 	p := prepare(b, "b14_1_opt", 4)
 	for _, mode := range []struct {
@@ -348,7 +348,7 @@ func BenchmarkTelemetry_Overhead(b *testing.B) {
 	}{
 		{"nil", func() telemetry.Recorder { return nil }},
 		{"nop", func() telemetry.Recorder { return telemetry.Nop }},
-		{"collector", func() telemetry.Recorder { return telemetry.NewCollector() }},
+		{"trace", func() telemetry.Recorder { return telemetry.NewTrace(telemetry.TraceID{}) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			opt := coreOpts(p, true)
@@ -476,9 +476,9 @@ func BenchmarkLabelPatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		newState := func(b *testing.B, col telemetry.Recorder) *solverstate.State {
+		newState := func(b *testing.B, tr telemetry.Recorder) *solverstate.State {
 			st, err := solverstate.New(p.base, r0, solverstate.Config{
-				Params: params, ObsInt: p.obsI, SeedLabels: seedLab, Recorder: col,
+				Params: params, ObsInt: p.obsI, SeedLabels: seedLab, Recorder: tr,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -486,16 +486,16 @@ func BenchmarkLabelPatch(b *testing.B) {
 			return st
 		}
 		// Find a single-vertex move that takes the patch path.
-		col := telemetry.NewCollector()
-		probe := newState(b, col)
+		tr := telemetry.NewTrace(telemetry.TraceID{})
+		probe := newState(b, tr)
 		move := int32(-1)
 		for v := int32(1); v < int32(p.base.NumVertices()); v++ {
-			before := col.Stats().Counter(telemetry.CounterLabelPatches)
+			before := tr.Doc("", "", "", "", false).Stats().Counter(telemetry.CounterLabelPatches)
 			probe.Begin([]int32{v}, func(int32) int32 { return 1 })
 			if _, err := probe.Labels(); err != nil {
 				b.Fatal(err)
 			}
-			patched := col.Stats().Counter(telemetry.CounterLabelPatches) > before
+			patched := tr.Doc("", "", "", "", false).Stats().Counter(telemetry.CounterLabelPatches) > before
 			probe.Rollback()
 			if patched {
 				move = v

@@ -8,15 +8,16 @@
 // Usage:
 //
 //	seranalyze -in s27.bench [-phi 0] [-frames 15] [-words 4] [-seed 1]
-//	seranalyze -trace run.jsonl
+//	seranalyze -trace traces.jsonl
 //	seranalyze -tracedir data/traces [-top 10]
 //
 // With -phi 0 the combinational critical path is used as the clock period.
-// With -trace, a JSONL telemetry trace (serbench -trace) is replayed into
-// a per-run phase/counter report instead of analyzing a netlist.
-// With -tracedir, persisted per-job trace documents — the serretimed
-// data-dir's traces/ directory, or a JSONL file of trace docs collected
-// by serbench -serve -trace — are aggregated into a fleet report:
+// Both trace modes read telemetry.TraceDoc documents: a file of one JSON
+// document per line (serbench -trace, serretimed -trace, serbench -serve
+// -trace) or a directory of one document per file (the serretimed
+// data-dir's traces/). With -trace, each document is folded into a
+// per-run phase/counter report instead of analyzing a netlist.
+// With -tracedir, the documents are aggregated into a fleet report:
 // queue-wait vs. solve-time percentiles, tier-fallback frequency, the
 // cross-job phase-time breakdown, and the slowest jobs by trace ID.
 package main
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"serretime"
 	"serretime/internal/telemetry"
@@ -35,14 +35,14 @@ import (
 
 func main() {
 	var (
-		in     = flag.String("in", "", "input .bench netlist (required unless -trace)")
-		phi    = flag.Float64("phi", 0, "clock period (0 = critical path)")
-		frames = flag.Int("frames", 15, "time-frame expansion depth n")
-		words  = flag.Int("words", 4, "signature width in 64-bit words")
-		seed   = flag.Int64("seed", 1, "simulation seed")
-		top    = flag.Int("top", 0, "also list the top-N SER contributors")
-		trace    = flag.String("trace", "", "replay a JSONL telemetry trace into a phase/counter report")
-		tracedir = flag.String("tracedir", "", "aggregate persisted per-job trace docs (a serretimed traces/ dir or a JSONL file) into a fleet report")
+		in       = flag.String("in", "", "input .bench netlist (required unless -trace)")
+		phi      = flag.Float64("phi", 0, "clock period (0 = critical path)")
+		frames   = flag.Int("frames", 15, "time-frame expansion depth n")
+		words    = flag.Int("words", 4, "signature width in 64-bit words")
+		seed     = flag.Int64("seed", 1, "simulation seed")
+		top      = flag.Int("top", 0, "also list the top-N SER contributors")
+		trace    = flag.String("trace", "", "print a phase/counter report per trace document (a file of one JSON document per line, or a traces/ dir)")
+		tracedir = flag.String("tracedir", "", "aggregate trace documents (a serretimed traces/ dir or a file of one JSON document per line) into a fleet report")
 	)
 	flag.Parse()
 	if *trace != "" {
@@ -102,39 +102,35 @@ func main() {
 	}
 }
 
-// traceReport reads a JSONL telemetry trace and prints one phase/counter
-// report per run label, in sorted order.
+// traceReport prints one phase/counter report per trace document, in
+// the documents' order, each folded from its span tree.
 func traceReport(w *os.File, path string) error {
-	f, err := os.Open(path)
+	docs, skipped, err := loadTraceDocs(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	recs, err := telemetry.ReadJSONL(f)
-	if err != nil {
-		return err
+	if len(docs) == 0 {
+		return fmt.Errorf("%s: no trace documents", path)
 	}
-	if len(recs) == 0 {
-		return fmt.Errorf("%s: empty trace", path)
+	fmt.Fprintf(w, "trace %s: %d run(s)", path, len(docs))
+	if skipped > 0 {
+		fmt.Fprintf(w, ", %d undecodable document(s) skipped", skipped)
 	}
-	runs := telemetry.Replay(recs)
-	names := make([]string, 0, len(runs))
-	for name := range runs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "trace %s: %d events, %d run(s)\n\n", path, len(recs), len(runs))
-	for _, name := range names {
-		if err := runs[name].WriteReport(w, name); err != nil {
+	fmt.Fprint(w, "\n\n")
+	for _, doc := range docs {
+		name := doc.Name
+		if name == "" {
+			name = doc.TraceID
+		}
+		if err := doc.Stats().WriteReport(w, name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fleetReport aggregates persisted telemetry.TraceDoc documents — one
-// file per job (a serretimed traces/ directory) or one JSON line per
-// job (serbench -serve -trace output) — into a fleet-level report.
+// fleetReport aggregates telemetry.TraceDoc documents into a
+// fleet-level report.
 func fleetReport(w *os.File, path string, top int) error {
 	docs, skipped, err := loadTraceDocs(path)
 	if err != nil {

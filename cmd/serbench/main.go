@@ -17,10 +17,11 @@
 // the sweep completes. The exit status is 0 only when every row is a
 // full-strength result; 2 when some rows degraded; 1 when any failed.
 //
-// Observability: -trace streams every solver phase span and counter as
-// JSONL (one run label per circuit; read back with seranalyze -trace),
-// -metrics adds a per-row phase-breakdown column from an in-memory
-// collector — including the optimizer's incremental-hit ratio inc=P/T
+// Observability: each circuit's run records into a telemetry.Trace.
+// -trace writes its document — span tree with counters and gauges — as
+// one JSON line per circuit (read back with seranalyze -trace), and
+// -metrics adds a per-row phase-breakdown column folded from the same
+// document — including the optimizer's incremental-hit ratio inc=P/T
 // (P label patches out of T label updates; T−P were full recomputes) and,
 // with -workers > 1, the sharded analyses' pool utilization util=U% w=K —
 // and -cpuprofile/-memprofile write standard runtime/pprof profiles of
@@ -34,7 +35,7 @@
 //	serbench [-scale auto|N] [-circuits name,name,...] [-in files] [-parallel N]
 //	         [-workers N] [-frames N] [-words N] [-engine closure|forest] [-verify]
 //	         [-timeout D] [-retries N] [-stallsteps N] [-faultinject names]
-//	         [-trace out.jsonl] [-metrics] [-checklabels]
+//	         [-trace traces.jsonl] [-metrics] [-checklabels]
 //	         [-cpuprofile f] [-memprofile f]
 //
 // ECO mode (-eco netlist.bench) replaces the sweep with a warm-session
@@ -51,7 +52,7 @@
 // determinism promises (serve.go) — it mints a trace ID per submission,
 // propagates it via the Traceparent header, prints client-side
 // submit→result latency percentiles, and with -trace downloads every
-// job's persisted span tree to a JSONL file (exit 1 if any accepted
+// job's persisted span tree as trace document lines (exit 1 if any accepted
 // job's trace is missing; aggregate with seranalyze -tracedir) — and
 // -crashbin runs a kill-recover
 // chaos harness — boot a child daemon on a data directory, burst,
@@ -95,7 +96,8 @@ type row struct {
 	refTime, winTime time.Duration
 	err              error
 	paper            gen.TableISpec
-	phases           string // -metrics: level-1 phase breakdown of the row's run
+	phases           string              // -metrics: level-1 phase breakdown of the row's run
+	trace            *telemetry.TraceDoc // -trace/-metrics: the row's run
 }
 
 // status renders the row's outcome for the table's status column.
@@ -183,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.retries, "retries", 0, "extra attempts per degradation tier after a transient failure")
 	fs.IntVar(&cfg.stallSteps, "stallsteps", 0, "abort an optimizer run after this many steps without improvement (0 = off)")
 	fs.StringVar(&cfg.faultInject, "faultinject", "", "comma-separated circuit names whose runs are fault-injected (testing)")
-	fs.StringVar(&cfg.tracePath, "trace", "", "write a JSONL telemetry trace of every run (read with seranalyze -trace); with -serve, collect every job's span tree as JSONL trace docs (read with seranalyze -tracedir)")
+	fs.StringVar(&cfg.tracePath, "trace", "", "write each circuit's trace document (span tree, counters, gauges) as one JSON line (read with seranalyze -trace); with -serve, collect every job's trace document the same way (read with seranalyze -tracedir)")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "collect per-circuit phase metrics and add a phase-breakdown column")
 	fs.BoolVar(&cfg.checkLabels, "checklabels", false, "cross-check every incremental label patch against the full-recompute oracle; mismatches fail the row")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the sweep")
@@ -273,20 +275,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	var tw *telemetry.JSONLWriter
+	var traceFile *os.File
 	if cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
+		var err error
+		if traceFile, err = os.Create(cfg.tracePath); err != nil {
 			fmt.Fprintf(stderr, "serbench: %v\n", err)
 			return 2
 		}
-		tw = telemetry.NewJSONLWriter(f)
-		defer func() {
-			if err := tw.Flush(); err != nil {
-				fmt.Fprintf(stderr, "serbench: trace: %v\n", err)
-			}
-			f.Close()
-		}()
+		defer traceFile.Close()
 	}
 
 	rows := make([]*row, len(jobs))
@@ -300,11 +296,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func(i int, j job) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rows[i] = runOne(j, cfg, eng, tw)
+			rows[i] = runOne(j, cfg, eng)
 		}(i, j)
 	}
 	wg.Wait()
 	printTable(stdout, rows, cfg.metrics)
+	if traceFile != nil {
+		var lines []byte
+		for _, r := range rows {
+			lines = append(append(lines, r.trace.Encode()...), '\n')
+		}
+		if _, err := traceFile.Write(lines); err != nil {
+			fmt.Fprintf(stderr, "serbench: trace: %v\n", err)
+		} else if err := traceFile.Close(); err != nil {
+			fmt.Fprintf(stderr, "serbench: trace: %v\n", err)
+		}
+	}
 
 	if cfg.memProfile != "" {
 		f, err := os.Create(cfg.memProfile)
@@ -344,25 +351,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWriter) *row {
+func runOne(j job, cfg config, eng serretime.EngineKind) *row {
 	r := &row{name: j.name}
 	ctx := context.Background()
 
-	// Per-circuit recorders: a run-labelled view of the shared trace, an
-	// in-memory collector for the -metrics column, or both.
-	var col *telemetry.Collector
-	var recs []telemetry.Recorder
-	if cfg.metrics {
-		col = telemetry.NewCollector()
-		recs = append(recs, col)
+	// Per-circuit trace: its document is the row's -trace line, and its
+	// fold the -metrics column.
+	rec := telemetry.Nop
+	var tr *telemetry.Trace
+	if cfg.tracePath != "" || cfg.metrics {
+		tr = telemetry.NewTrace(telemetry.TraceID{})
+		rec = tr
 	}
-	if tw != nil {
-		recs = append(recs, tw.Run(j.name))
-	}
-	rec := telemetry.Tee(recs...)
 	defer func() {
-		if col != nil {
-			s := col.Stats()
+		if tr == nil {
+			return
+		}
+		r.trace = finishRowTrace(tr, r)
+		if cfg.metrics {
+			s := r.trace.Stats()
 			r.phases = s.PhaseBreakdown(3)
 			// Incremental-hit ratio of the solver state: patched label
 			// updates out of all label updates (the rest were full
@@ -446,6 +453,17 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 	r.shOK = r.win.SetupHoldOK
 	r.serOrig = r.win.Before.SER
 	return r
+}
+
+// finishRowTrace closes a row's trace and returns its document, named
+// after the circuit and stamped with the MinObsWin run's outcome.
+func finishRowTrace(tr *telemetry.Trace, r *row) *telemetry.TraceDoc {
+	tr.Finish()
+	status, tier := "done", r.winTier.String()
+	if r.err != nil {
+		status, tier = "failed", ""
+	}
+	return tr.Doc("", r.name, status, tier, r.degraded)
 }
 
 // labelMismatch surfaces an oracle cross-check failure buried in the

@@ -81,9 +81,10 @@ func TestFaultInjectedSweep(t *testing.T) {
 }
 
 // TestTraceRoundTrip drives the acceptance path of the telemetry layer:
-// a -trace sweep of a real netlist must emit JSONL that replays into a
-// RunStats whose top-level phase durations cover at least 90% of the
-// run's wall-clock, and whose report renders.
+// a -trace sweep of a real netlist must write one trace document line
+// for the circuit, whose fold is a RunStats with top-level phase
+// durations covering at least 90% of the run's wall-clock, and whose
+// report renders.
 func TestTraceRoundTrip(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	args := []string{"-in", "../../testdata/s27.bench", "-frames", "2", "-words", "1",
@@ -96,23 +97,22 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Errorf("-metrics did not add the phase-breakdown column:\n%s", out.String())
 	}
 
-	f, err := os.Open(trace)
+	data, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatalf("trace file not written: %v", err)
 	}
-	defer f.Close()
-	recs, err := telemetry.ReadJSONL(f)
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("trace has %d lines, want one document for s27", len(lines))
+	}
+	doc, err := telemetry.DecodeTraceDoc([]byte(lines[0]))
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatal(err)
 	}
-	if len(recs) == 0 {
-		t.Fatal("empty trace")
+	if doc.Name != "s27" || doc.Status != "done" {
+		t.Fatalf("document names %q (status %q), want s27 done", doc.Name, doc.Status)
 	}
-	runs := telemetry.Replay(recs)
-	s := runs["s27"]
-	if s == nil {
-		t.Fatalf("no run labelled s27 in trace (%d runs)", len(runs))
-	}
+	s := doc.Stats()
 	if !s.Observed(telemetry.PhaseSynthesize) || !s.Observed(telemetry.PhaseMinimize) {
 		t.Errorf("expected phases missing: synthesize=%v minimize=%v",
 			s.Observed(telemetry.PhaseSynthesize), s.Observed(telemetry.PhaseMinimize))

@@ -275,8 +275,8 @@ func fetchResult(ctx context.Context, client *http.Client, base, id string) ([]b
 // completion, download and cross-check results, and print a summary
 // with client-observed submit→result latency percentiles. With -trace
 // set, every submission carries a minted Traceparent, every job's span
-// tree is fetched from /v1/jobs/{id}/trace and written as JSONL to the
-// trace path, and a missing or empty trace fails the run.
+// tree is fetched from /v1/jobs/{id}/trace and written to the trace
+// path as one document line per job, and a missing or empty trace fails the run.
 func runServe(cfg config, stdout, stderr io.Writer) int {
 	payloads, err := servePayloads(cfg)
 	if err != nil {
@@ -415,7 +415,7 @@ func runServe(cfg config, stdout, stderr io.Writer) int {
 }
 
 // collectTraces fetches each job's persisted span tree, writes the
-// documents as JSONL to cfg.tracePath, prints the joined client/server
+// documents to cfg.tracePath one per line, prints the joined client/server
 // latency picture (queue wait vs. solve time from the server's spans),
 // and returns the number of jobs whose trace was missing or empty.
 func collectTraces(ctx context.Context, client *http.Client, cfg config, jobIDs []string, stdout, stderr io.Writer) int {

@@ -24,32 +24,36 @@
 //	                          apply netlist delta ops (rewire, add_gate,
 //	                          rm_node, mark_po, unmark_po) and re-solve —
 //	                          warm when the change is small, full solve
-//	                          otherwise; the result is bit-identical to a
-//	                          from-scratch solve either way
+//	                          otherwise (a warm solve can differ slightly
+//	                          from a from-scratch one, DESIGN.md §17)
 //	GET  /v1/sessions/{id}        session status (deltas, warm/fallback)
 //	GET  /v1/sessions/{id}/result current retimed netlist (.bench)
 //	DELETE /v1/sessions/{id}      close the session
-//
-// Sessions are ephemeral: they live in memory only, are LRU-evicted
-// beyond -max-sessions, expire after -session-ttl idle, and answer 410
-// after a daemon restart (the ID carries a per-boot nonce).
 //	GET  /debug/jobs          live in-flight jobs: age, current phase,
 //	                          queue wait, worker utilization
 //	GET  /healthz             liveness, queue depth, build identity
 //	GET  /metrics             Prometheus-style metrics with exemplar
 //	                          trace IDs on the latency histograms
 //
+// Sessions are ephemeral: they live in memory only, are LRU-evicted
+// beyond -max-sessions, expire after -session-ttl idle, and answer 410
+// after a daemon restart (the ID carries a per-boot nonce).
+//
 // Every accepted job is traced end to end: a trace ID is minted at
 // ingress (or adopted from the client's Traceparent header) and its
 // span tree is persisted next to the result under -data-dir, so traces
 // survive restarts and `seranalyze -tracedir DIR/traces` can aggregate
-// them into a fleet report. The -slowjob watchdog logs the open-span
-// stack of any job running past the deadline.
+// them into a fleet report. Session opens and deltas are traced too,
+// though not persisted. With -trace, the trace document of every finished solve is also
+// appended to a file, one JSON line each (`seranalyze -trace` prints a
+// phase/counter report per line, `seranalyze -tracedir` the fleet
+// report). The -slowjob watchdog logs the open-span stack of any job
+// running past the deadline.
 //
 // A full queue answers 429 with Retry-After; SIGTERM/SIGINT drains
 // gracefully: the listener stops accepting, in-flight solves are
-// cancelled through their context, queued jobs are failed, and the JSONL
-// trace (when -trace is set) is flushed before exit.
+// cancelled through their context, queued jobs are failed, and the trace
+// file (when -trace is set) is closed before exit.
 //
 // With -data-dir the cache survives restarts — crash included: every job
 // transition is journaled to a write-ahead log and every payload written
@@ -85,7 +89,6 @@ import (
 
 	"serretime/internal/service"
 	"serretime/internal/store"
-	"serretime/internal/telemetry"
 )
 
 func main() {
@@ -101,7 +104,7 @@ func run(args []string) int {
 	timeout := fs.Duration("timeout", 5*time.Minute, "default per-attempt solve budget")
 	retries := fs.Int("retries", 0, "default per-tier retry count")
 	cacheSize := fs.Int("cache", 4096, "retained finished jobs (content-addressed cache entries)")
-	tracePath := fs.String("trace", "", "stream a JSONL telemetry trace of every solve")
+	tracePath := fs.String("trace", "", "append every finished solve's trace document to this file, one JSON line each (read with seranalyze -trace or -tracedir)")
 	drainWait := fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
 	dataDir := fs.String("data-dir", "", "persist jobs and results here; replayed on boot (empty = memory-only)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL durability: always, interval or never")
@@ -113,17 +116,14 @@ func run(args []string) int {
 		return 2
 	}
 
-	var rec telemetry.Recorder
-	var trace *telemetry.JSONLWriter
+	var trace *os.File
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
+		var err error
+		if trace, err = os.Create(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "serretimed: %v\n", err)
 			return 1
 		}
-		defer f.Close()
-		trace = telemetry.NewJSONLWriter(f)
-		rec = trace
+		defer trace.Close()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -139,10 +139,13 @@ func run(args []string) int {
 		SlowJob:      *slowJob,
 		MaxSessions:  *maxSessions,
 		SessionTTL:   *sessionTTL,
-		Recorder:     rec,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
+	}
+
+	if trace != nil {
+		cfg.Recorder = trace // never a nil *os.File inside the interface
 	}
 
 	// Open the persistent store (when configured) and replay its WAL
@@ -199,7 +202,7 @@ func run(args []string) int {
 	case <-ctx.Done():
 	}
 
-	// Drain: stop accepting, cancel in-flight solves, flush the trace.
+	// Drain: stop accepting, cancel in-flight solves, close the trace.
 	fmt.Println("serretimed: draining")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
@@ -213,7 +216,7 @@ func run(args []string) int {
 		code = 1
 	}
 	if trace != nil {
-		if err := trace.Flush(); err != nil {
+		if err := trace.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "serretimed: trace: %v\n", err)
 			code = 1
 		}

@@ -6,12 +6,14 @@ package serretime
 // incrementally: the constraint engine is bulk-seeded with the P0
 // requirement closure (RetimeOptions.WarmStart), the init memo re-enters
 // the min-period searches for free when the structure is unchanged, and
-// the Design's observability cache survives option-only deltas. The
-// committed result of a delta solve is bit-identical to a from-scratch
-// RetimeRobust of the mutated netlist — WarmStart changes constraint
-// discovery cost, never the fixpoint — so the warm path needs no
-// cross-validation against the batch path (TestRetimeDeltaMatchesCold
-// asserts the identity; serbench -eco re-checks it on every delta).
+// the Design's observability cache survives option-only deltas. Every
+// committed delta solve is a verified legal retiming, and on the session
+// circuits tested it is byte-identical to a from-scratch RetimeRobust of
+// the mutated netlist (TestRetimeDeltaMatchesCold; serbench -eco
+// re-checks it on every delta). That identity is measured, not
+// guaranteed: WarmStart steers the min-cut, and on a few Table I
+// substitutes a seeded solve lands on a slightly different retiming
+// (TestWarmStartCloseToCold).
 
 import (
 	"context"

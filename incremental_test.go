@@ -45,8 +45,8 @@ func TestRetimeIncrementalMatchesFullRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v full: %v", d.Name(), algo, err)
 			}
-			col := telemetry.NewCollector()
-			got, err := d.Retime(RetimeOptions{Algorithm: algo, CheckLabels: true, Recorder: col})
+			tr := telemetry.NewTrace(telemetry.TraceID{})
+			got, err := d.Retime(RetimeOptions{Algorithm: algo, CheckLabels: true, Recorder: tr})
 			if err != nil {
 				t.Fatalf("%s/%v checked: %v", d.Name(), algo, err)
 			}
@@ -73,7 +73,7 @@ func TestRetimeIncrementalMatchesFullRecompute(t *testing.T) {
 			// synthetic circuits are allowed all-fallback runs — their
 			// first moves can dirty most of the circuit, where falling
 			// back is the intended behavior.
-			s := col.Stats()
+			s := tr.Doc("", "", "", "", false).Stats()
 			testdata := d.Name() == "s27" || d.Name() == "pipeline4"
 			if algo == MinObsWin && testdata && s.Counter(telemetry.CounterLabelPatches) == 0 {
 				t.Errorf("%s/%v: incremental-hit ratio is zero (fulls=%d fallbacks=%d)",

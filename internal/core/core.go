@@ -135,10 +135,11 @@ type Options struct {
 	// instead of letting the loop discover the same constraints one
 	// violation batch at a time. The commit criterion is unchanged — a
 	// set is only committed after findViolations verifies it against the
-	// authoritative state — so the fixpoint is the one the lazy cascade
-	// reaches (see TestWarmStartMatchesCold); only the discovery cost
-	// changes. Ignored by EngineForest. Used by the ECO/session delta
-	// path (DESIGN.md §17).
+	// authoritative state — so every commit is legal, but the seeded
+	// arcs steer which sets are proposed: the result usually equals the
+	// lazy cascade's and can differ slightly on some inputs (see
+	// seedRequirementClosure). Ignored by EngineForest. Used by the
+	// ECO/session delta path (DESIGN.md §17).
 	WarmStart bool
 }
 
@@ -339,7 +340,7 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		e.Freeze(int32(graph.Host))
 		if opt.WarmStart {
 			if ce, ok := e.(*closureEngine); ok {
-				seedRequirementClosure(ce, g, st, gains)
+				rec.Count(telemetry.CounterSeedArcs, int64(seedRequirementClosure(ce, g, st, gains)))
 			}
 		}
 		return e, nil
@@ -381,7 +382,6 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		var mask []bool
 		exact := false
 		if needExact {
-			ExactCalls++
 			rec.Count(telemetry.CounterExactClosures, 1)
 			rec.SpanStart(telemetry.PhasePositiveSet)
 			members, mask = eng.PositiveSet()

@@ -113,26 +113,26 @@ func TestIncrementalTelemetrySplit(t *testing.T) {
 		if _, ok := seedLab.CheckP1(g); !ok {
 			continue
 		}
-		col := telemetry.NewCollector()
+		tr := telemetry.NewTrace(telemetry.TraceID{})
 		if _, err := Minimize(g, gains, obsInt, Options{
 			Phi: phi, Ts: 0, Th: 2, Rmin: rmin, ELWConstraints: true,
-			SeedLabels: seedLab, Recorder: col,
+			SeedLabels: seedLab, Recorder: tr,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		patched = col.Stats().Counter(telemetry.CounterLabelPatches) > 0
+		patched = tr.Doc("", "", "", "", false).Stats().Counter(telemetry.CounterLabelPatches) > 0
 	}
 	if !patched {
 		t.Fatal("no random instance ever took the patch path")
 	}
-	col := telemetry.NewCollector()
+	tr := telemetry.NewTrace(telemetry.TraceID{})
 	if _, err := Minimize(g, gains, obsInt, Options{
 		Phi: phi, Ts: 0, Th: 2, Rmin: rmin, ELWConstraints: true,
-		FullLabelRecompute: true, Recorder: col,
+		FullLabelRecompute: true, Recorder: tr,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := col.Stats().Counter(telemetry.CounterLabelPatches); n != 0 {
+	if n := tr.Doc("", "", "", "", false).Stats().Counter(telemetry.CounterLabelPatches); n != 0 {
 		t.Fatalf("ablation mode patched %d times", n)
 	}
 }

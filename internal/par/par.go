@@ -59,7 +59,7 @@ type Pool struct {
 // New returns a pool of Normalize(workers) workers. op names the pool in
 // guard errors (timeouts, captured panics); rec receives the utilization
 // telemetry (nil records nothing). If rec also implements
-// telemetry.ShardRecorder (a Trace, or a Tee containing one), every
+// telemetry.ShardRecorder (a Trace does), every
 // shard execution — including the inline sequential path — is reported
 // to it with worker attribution.
 func New(op string, workers int, rec telemetry.Recorder) *Pool {

@@ -68,34 +68,33 @@ func TestShardSpanParallel(t *testing.T) {
 	}
 }
 
-// TestShardSpanThroughTee checks the production wiring: the pool sees
-// Tee(collector, trace) and the shard spans reach the trace through the
-// multi recorder's ShardRecorder forwarding.
-func TestShardSpanThroughTee(t *testing.T) {
-	col := telemetry.NewCollector()
+// TestShardSpanCountersOnTrace checks the production wiring: one Trace
+// receives both the pool's shard spans (through ShardRecorder) and its
+// utilization counters, which fold back out of the trace document.
+func TestShardSpanCountersOnTrace(t *testing.T) {
 	tr := telemetry.NewTrace(telemetry.TraceID{})
-	p := New("obs.compute", 2, telemetry.Tee(col, tr))
+	p := New("obs.compute", 2, tr)
 	if err := p.Run(context.Background(), 10, func(w, lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	spans := shardSpans(tr, "obs.compute")
 	if len(spans) != 2 {
-		t.Fatalf("%d shard spans through Tee, want 2", len(spans))
+		t.Fatalf("%d shard spans on the trace, want 2", len(spans))
 	}
-	if st := col.Stats(); st.Counters[telemetry.CounterParShards] != 2 {
-		t.Fatalf("collector shard count = %d", st.Counters[telemetry.CounterParShards])
+	if st := tr.Doc("", "", "", "", false).Stats(); st.Counters[telemetry.CounterParShards] != 2 {
+		t.Fatalf("trace shard count = %d", st.Counters[telemetry.CounterParShards])
 	}
 }
 
 // TestShardSpanAbsentWithoutRecorder checks the untraced fast paths stay
-// untouched: a nil recorder leaves the pool shard-free.
+// untouched: a nil or no-op recorder leaves the pool shard-free.
 func TestShardSpanAbsentWithoutRecorder(t *testing.T) {
 	p := New("obs.compute", 1, nil)
 	if p.shard != nil {
 		t.Fatal("nil recorder grew a shard recorder")
 	}
-	pc := New("obs.compute", 1, telemetry.NewCollector())
-	if pc.shard != nil {
-		t.Fatal("plain Collector satisfied ShardRecorder; inline path would slow down")
+	pn := New("obs.compute", 1, telemetry.Nop)
+	if pn.shard != nil {
+		t.Fatal("Nop satisfied ShardRecorder; inline path would slow down")
 	}
 }

@@ -14,10 +14,10 @@ import (
 // handleMetrics renders the service state in the Prometheus text
 // exposition format: queue and cache gauges, job dispositions, per-tier
 // and per-error-class outcome counts, the solve-latency histogram, and
-// the shared telemetry.Collector's phase durations, counters and gauges
-// (so the solver's own observability — label-patch hit ratios, worker
-// pool utilization, violation counts — is scrapeable without a trace
-// file).
+// the phase durations, counters and gauges folded from every finished
+// solve's trace — batch jobs and session solves alike — so the solver's
+// own observability (label-patch hit ratios, worker pool utilization,
+// violation counts, seeded arcs) is scrapeable without a trace file.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
 
@@ -122,10 +122,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "# HELP serretimed_solve_seconds wall time of successful solves\n# TYPE serretimed_solve_seconds histogram\n")
 	writeHistogram(&b, "serretimed_solve_seconds", "", snap, exemplars)
 
-	// Per-phase latency histograms across finished jobs: queue-wait and
-	// solve (depth 1), degradation tiers (depth 2), pipeline stages
+	// Per-phase latency histograms across finished solves: queue-wait
+	// and solve (depth 1), degradation tiers (depth 2), pipeline stages
 	// (depth 3), each bucket with its exemplar trace ID.
 	s.mu.Lock()
+	stats := s.solver
 	phases := make([]string, 0, len(s.phaseLat))
 	for name := range s.phaseLat {
 		phases = append(phases, name)
@@ -137,15 +138,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	if len(phases) > 0 {
-		fmt.Fprintf(&b, "# HELP serretimed_phase_seconds per-job span durations by phase (queue-wait, solve, tiers, pipeline stages)\n# TYPE serretimed_phase_seconds histogram\n")
+		fmt.Fprintf(&b, "# HELP serretimed_phase_seconds per-solve span durations by phase (queue-wait, solve, tiers, pipeline stages)\n# TYPE serretimed_phase_seconds histogram\n")
 		for i, name := range phases {
 			psnap, pex := phaseHists[i].Snapshot()
 			writeHistogram(&b, "serretimed_phase_seconds", fmt.Sprintf("phase=%q", name), psnap, pex)
 		}
 	}
 
-	// Solver-internal telemetry from the shared collector.
-	stats := s.col.Stats()
+	// Solver-internal telemetry folded from the finished solves' traces.
 	fmt.Fprintf(&b, "# HELP serretimed_solver_phase_seconds_total summed span durations per solver phase\n# TYPE serretimed_solver_phase_seconds_total counter\n")
 	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
 		if ps := stats.Phases[p]; ps.Count > 0 {

@@ -16,10 +16,11 @@
 // Design.RetimeRobust under the server's base context, so the per-attempt
 // timeout, the stall watchdog, panic isolation and the degradation chain
 // all apply, and a SIGTERM drain cancels in-flight solves by cancelling
-// that context. Telemetry from every solve lands in one shared
-// telemetry.Collector (plus any extra recorder, e.g. a JSONL trace) and
-// is rendered by /metrics together with the queue, cache, and latency
-// counters.
+// that context. Every solve — a batch job, a session open or a session
+// delta — records into a telemetry.Trace of its own. A finished trace's
+// document goes to the Config.Recorder sink and is folded into the
+// per-phase histograms and solver totals /metrics renders next to the
+// queue, cache, and latency counters.
 package service
 
 import (
@@ -28,6 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -164,9 +166,11 @@ type Config struct {
 	// through Logf (once per job), so a wedged solve names the exact
 	// phase it is stuck in. Default 0: off.
 	SlowJob time.Duration
-	// Recorder receives solver telemetry in addition to the server's own
-	// collector (e.g. a telemetry.JSONLWriter for a persistent trace).
-	Recorder telemetry.Recorder
+	// Recorder, when set, receives the trace document of every finished
+	// solve (batch job, session open, session delta) as one JSON line
+	// (telemetry.TraceDoc.Encode plus a newline). Writes are serialized;
+	// the first write error is logged and later ones are not.
+	Recorder io.Writer
 	// Store, when set, journals every job lifecycle transition and its
 	// payloads so a restarted daemon can restore its cache and re-solve
 	// interrupted jobs (call Restore after New). nil runs memory-only.
@@ -211,8 +215,6 @@ func (c Config) withDefaults() Config {
 // Handler, and call Drain on shutdown.
 type Server struct {
 	cfg   Config
-	col   *telemetry.Collector
-	rec   telemetry.Recorder
 	lat   *telemetry.ExemplarHistogram
 	queue chan *Job
 	busy  atomic.Int64 // workers currently inside a solve
@@ -226,10 +228,18 @@ type Server struct {
 	jobs     map[string]*Job
 	order    []string // finished-job eviction order (oldest first)
 	draining bool
-	// phaseLat aggregates per-phase latencies across finished jobs (one
-	// exemplared histogram per span name), rendered by /metrics. Guarded
-	// by mu; created lazily so zero-value servers in tests stay usable.
+	// phaseLat aggregates per-phase latencies across finished solves
+	// (one exemplared histogram per span name) and solver folds their
+	// trace documents (TraceDoc.Stats), both rendered by /metrics.
+	// Guarded by mu; phaseLat is created lazily so zero-value servers in
+	// tests stay usable.
 	phaseLat map[string]*telemetry.ExemplarHistogram
+	solver   telemetry.RunStats
+
+	// sinkMu serializes writes to Config.Recorder; sinkFailed records
+	// that a write failed (logged once).
+	sinkMu     sync.Mutex
+	sinkFailed bool
 
 	// Persistence (guarded by mu). store is nilled on the first write
 	// failure: the server degrades to memory-only rather than failing
@@ -271,7 +281,6 @@ func New(ctx context.Context, cfg Config) *Server {
 	bctx, cancel := context.WithCancel(ctx)
 	s := &Server{
 		cfg:     cfg,
-		col:     telemetry.NewCollector(),
 		lat:     telemetry.NewExemplarHistogram(telemetry.LatencyBounds()),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		baseCtx: bctx,
@@ -285,7 +294,6 @@ func New(ctx context.Context, cfg Config) *Server {
 		s.storeMode = StoreDisk
 	}
 	s.initSessions()
-	s.rec = telemetry.Tee(s.col, cfg.Recorder)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -351,7 +359,6 @@ func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, t
 	}
 	// The recorder is result-invariant (excluded from CanonicalKey), so
 	// the per-job trace recorder set below never fragments the cache key.
-	opt.Recorder = s.rec
 	key, bench, err := jobKey(d, opt)
 	if err != nil {
 		return nil, 0, err
@@ -380,7 +387,7 @@ func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, t
 	}
 	tr := telemetry.NewTrace(traceID)
 	tr.Begin("queue-wait")
-	opt.Recorder = telemetry.Tee(s.rec, tr)
+	opt.Recorder = tr
 	j := &Job{
 		ID:        key,
 		Name:      d.Name(),
@@ -530,9 +537,10 @@ func (s *Server) runJob(j *Job) {
 		s.finishJob(j, werr)
 		return
 	}
-	doc := s.finalizeTrace(j, StateDone.String(), res.Tier.String(), res.Degraded)
+	doc, line := s.finalizeTrace(j, StateDone.String(), res.Tier.String(), res.Degraded)
 	s.lat.Observe(time.Since(j.started), traceIDOf(j))
 	s.mu.Lock()
+	j.traceDoc = line
 	j.state = StateDone
 	j.finished = time.Now()
 	j.tier = res.Tier
@@ -543,7 +551,7 @@ func (s *Server) runJob(j *Job) {
 	if int(res.Tier) < len(s.byTier) {
 		s.byTier[res.Tier]++
 	}
-	s.observePhasesLocked(doc, traceIDOf(j))
+	s.observeLocked(doc, traceIDOf(j))
 	s.journal(func(st Store) error {
 		return st.JournalDone(j.ID, store.ResultMeta{
 			Tier:     int(res.Tier),
@@ -557,14 +565,15 @@ func (s *Server) runJob(j *Job) {
 }
 
 func (s *Server) finishJob(j *Job, err error) {
-	doc := s.finalizeTrace(j, StateFailed.String(), "", false)
+	doc, line := s.finalizeTrace(j, StateFailed.String(), "", false)
 	s.mu.Lock()
+	j.traceDoc = line
 	j.state = StateFailed
 	j.finished = time.Now()
 	j.err = err
 	s.failed++
 	s.byClass[guard.Classify(err)]++
-	s.observePhasesLocked(doc, traceIDOf(j))
+	s.observeLocked(doc, traceIDOf(j))
 	s.journal(func(st Store) error {
 		return st.JournalFailed(j.ID, guard.Classify(err), err.Error())
 	})
@@ -573,17 +582,36 @@ func (s *Server) finishJob(j *Job, err error) {
 	close(j.Done)
 }
 
-// finalizeTrace force-closes the job's span tree, marshals the persisted
-// document into j.traceDoc, and returns it for phase-histogram
-// observation. Safe on trace-less jobs (returns nil).
-func (s *Server) finalizeTrace(j *Job, status, tier string, degraded bool) *telemetry.TraceDoc {
+// finalizeTrace finishes a terminal job's trace (finishTrace); callers
+// keep the encoded document as j.traceDoc. Safe on trace-less jobs
+// (returns nil).
+func (s *Server) finalizeTrace(j *Job, status, tier string, degraded bool) (*telemetry.TraceDoc, []byte) {
 	if j.trace == nil {
-		return nil
+		return nil, nil
 	}
-	j.trace.Finish()
-	doc := j.trace.Doc(j.ID, j.Name, status, tier, degraded)
-	j.traceDoc = doc.Encode()
-	return doc
+	return s.finishTrace(j.trace, j.ID, j.Name, status, tier, degraded)
+}
+
+// finishTrace force-closes a finished solve's span tree and writes its
+// document, one line, to the Config.Recorder sink. It returns the
+// document and its encoding; callers fold the document into /metrics
+// with observeLocked.
+func (s *Server) finishTrace(tr *telemetry.Trace, id, name, status, tier string, degraded bool) (*telemetry.TraceDoc, []byte) {
+	tr.Finish()
+	doc := tr.Doc(id, name, status, tier, degraded)
+	line := doc.Encode()
+	if s.cfg.Recorder != nil {
+		s.sinkMu.Lock()
+		// Append to a copy: line itself is kept as the job's document.
+		_, err := s.cfg.Recorder.Write(append(line[:len(line):len(line)], '\n'))
+		first := err != nil && !s.sinkFailed
+		s.sinkFailed = s.sinkFailed || err != nil
+		s.sinkMu.Unlock()
+		if first {
+			s.logf("serretimed: trace sink: %v (further write errors not logged)", err)
+		}
+	}
+	return doc, line
 }
 
 func traceIDOf(j *Job) telemetry.TraceID {
@@ -598,12 +626,15 @@ func traceIDOf(j *Job) telemetry.TraceID {
 // stages. Deeper merged inner-loop spans stay in the trace only.
 const phaseDepth = 3
 
-// observePhasesLocked feeds one finished job's span durations into the
-// per-phase exemplar histograms. Callers hold s.mu.
-func (s *Server) observePhasesLocked(doc *telemetry.TraceDoc, id telemetry.TraceID) {
+// observeLocked folds one finished solve's trace document into the
+// /metrics figures: the server-wide solver totals, and the per-phase
+// exemplar histograms of its spans down to phaseDepth. Callers hold
+// s.mu.
+func (s *Server) observeLocked(doc *telemetry.TraceDoc, id telemetry.TraceID) {
 	if doc == nil || doc.Root == nil {
 		return
 	}
+	s.solver.Add(doc.Stats())
 	if s.phaseLat == nil {
 		s.phaseLat = make(map[string]*telemetry.ExemplarHistogram)
 	}
@@ -687,8 +718,8 @@ func (s *Server) dropFromOrder(id string) {
 // ErrDraining, in-flight solves are cancelled through the base context
 // (they fail with errors unwrapping to guard.ErrTimeout), workers exit,
 // and every still-queued job is failed. ctx bounds the wait; on expiry
-// the workers may still be unwinding. The caller owns flushing any trace
-// recorder it passed in Config.Recorder.
+// the workers may still be unwinding. The caller owns flushing and
+// closing the trace sink it passed in Config.Recorder.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true

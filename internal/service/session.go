@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"serretime"
+	"serretime/internal/telemetry"
 )
 
 // Warm-state ECO sessions (DESIGN.md §17). A session pins a parsed
@@ -343,7 +344,14 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	warm, err := serretime.NewWarmState(s.baseCtx, d, opt)
+	var warm *serretime.WarmState
+	_, err = s.traceSolve("", d.Name(), &opt, func() (*serretime.RobustResult, error) {
+		var err error
+		if warm, err = serretime.NewWarmState(s.baseCtx, d, opt); err != nil {
+			return nil, err
+		}
+		return warm.Result(), nil
+	})
 	s.releaseSolveSlot()
 	if err != nil {
 		s.writeError(w, err)
@@ -408,7 +416,12 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, stats, err := ss.warm.RetimeDelta(s.baseCtx, req.Ops, opt)
+	var stats serretime.DeltaStats
+	res, err := s.traceSolve(ss.id, ss.name, &opt, func() (*serretime.RobustResult, error) {
+		dres, st, err := ss.warm.RetimeDelta(s.baseCtx, req.Ops, opt)
+		stats = st
+		return dres, err
+	})
 	s.releaseSolveSlot()
 	ss.deltas++
 	if err != nil {
@@ -489,8 +502,29 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, errorResponse{Error: msg})
 }
 
-// applySolveDefaults applies the server-side defaults and
-// result-invariant fields exactly as Submit does for batch jobs.
+// traceSolve runs one session solve (open or delta) under a trace of its
+// own, with a "solve" span around it, then hands the finished document
+// to the trace sink and /metrics. id is the session ID (empty for the
+// open solve, which runs before the session exists).
+func (s *Server) traceSolve(id, name string, opt *serretime.RobustOptions, solve func() (*serretime.RobustResult, error)) (*serretime.RobustResult, error) {
+	tr := telemetry.NewTrace(telemetry.TraceID{})
+	opt.Recorder = tr
+	tr.Begin("solve")
+	res, err := solve()
+	tr.End("solve", err)
+	status, tier, degraded := StateFailed.String(), "", false
+	if err == nil {
+		status, tier, degraded = StateDone.String(), res.Tier.String(), res.Degraded
+	}
+	doc, _ := s.finishTrace(tr, id, name, status, tier, degraded)
+	s.mu.Lock()
+	s.observeLocked(doc, tr.ID())
+	s.mu.Unlock()
+	return res, err
+}
+
+// applySolveDefaults applies the server-side defaults exactly as Submit
+// does for batch jobs.
 func (s *Server) applySolveDefaults(opt *serretime.RobustOptions) {
 	if opt.Timeout == 0 {
 		opt.Timeout = s.cfg.Timeout
@@ -501,5 +535,4 @@ func (s *Server) applySolveDefaults(opt *serretime.RobustOptions) {
 	if opt.Workers == 0 {
 		opt.Workers = s.cfg.SolveWorkers
 	}
-	opt.Recorder = s.rec
 }

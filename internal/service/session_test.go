@@ -8,12 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"serretime"
 	"serretime/internal/benchfmt"
 	"serretime/internal/eco"
+	"serretime/internal/telemetry"
 )
 
 func openSessionHTTP(t *testing.T, base string, body []byte, query string) (openSessionResponse, int) {
@@ -331,5 +333,82 @@ func TestSessionBackpressure(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "3" {
 		t.Errorf("Retry-After = %q, want %q", ra, "3")
+	}
+}
+
+// lockedBuffer is a concurrency-safe trace sink for tests.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) lines() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return strings.Split(strings.TrimSpace(b.buf.String()), "\n")
+}
+
+// TestSessionSolvesAreTraced checks that a session open and a delta each
+// get a trace of their own: one document line per solve in the sink,
+// with a "solve" span and the seeded-arc counter of the warm path, and
+// /metrics' solver families fold them in.
+func TestSessionSolvesAreTraced(t *testing.T) {
+	sink := &lockedBuffer{}
+	_, ts := newTestServer(t, Config{Workers: 1, Timeout: time.Minute, Recorder: sink})
+	body := benchBytes(t, tableIDesign(t, "b14_1_opt", 100))
+	msg, code := openSessionHTTP(t, ts.URL, body, "?frames=2&words=1")
+	if code != http.StatusCreated {
+		t.Fatalf("open: HTTP %d (%+v)", code, msg)
+	}
+	mirror, err := benchfmt.Parse(bytes.NewReader(body), "b14.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := eco.NewGen(mirror, 7).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dmsg, dcode := postDelta(t, ts.URL, msg.ID, ops); dcode != http.StatusOK {
+		t.Fatalf("delta: HTTP %d (%+v)", dcode, dmsg)
+	}
+
+	lines := sink.lines()
+	if len(lines) != 2 {
+		t.Fatalf("sink holds %d trace lines, want 2 (open, delta):\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	var seeded int64
+	for i, line := range lines {
+		doc, err := telemetry.DecodeTraceDoc([]byte(line))
+		if err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if doc.Status != "done" || doc.Root.Find("solve") == nil || doc.Root.Find("minimize") == nil {
+			t.Fatalf("line %d: doc %+v lacks a finished solve", i, doc)
+		}
+		if i == 1 && doc.JobID != msg.ID {
+			t.Errorf("delta doc names %q, want session %q", doc.JobID, msg.ID)
+		}
+		seeded += doc.Stats().Counter(telemetry.CounterSeedArcs)
+	}
+	if seeded == 0 {
+		t.Error("no seed-arcs counted across the session's warm-started solves")
+	}
+
+	metrics, _ := fetchBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`serretimed_solver_events_total{counter="seed-arcs"}`,
+		`serretimed_solver_events_total{counter="steps"}`,
+		`serretimed_solver_phase_spans_total{phase="minimize"} 2`,
+		`serretimed_phase_seconds_count{phase="solve"} 2`,
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }

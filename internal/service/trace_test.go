@@ -79,6 +79,16 @@ func TestTraceEndToEndHTTP(t *testing.T) {
 	if tiers == 0 || shards == 0 {
 		t.Fatalf("trace has %d tier and %d shard spans, want both > 0:\n%.600s", tiers, shards, data)
 	}
+	// The solver's counters ride on the spans they fired in, so the one
+	// document explains the work as well as the time.
+	st := doc.Stats()
+	if st.Counter(telemetry.CounterSteps) == 0 || st.Counter(telemetry.CounterCommits) == 0 {
+		t.Fatalf("trace folds to steps=%d commits=%d, want both > 0",
+			st.Counter(telemetry.CounterSteps), st.Counter(telemetry.CounterCommits))
+	}
+	if min := doc.Root.Find("minimize"); min == nil || min.Counters["steps"] == 0 {
+		t.Fatalf("minimize span carries no steps counter: %+v", min)
+	}
 
 	// Unknown job and a job without the trace suffix still behave.
 	if _, r := fetchBody(t, ts.URL+"/v1/jobs/nope/trace"); r.StatusCode != http.StatusNotFound {

@@ -188,7 +188,7 @@ func TestStateMatchesOracles(t *testing.T) {
 // into a MismatchError, so a clean pass is the satellite's shadow-oracle
 // property.
 func TestCrossCheckAgreesOnRandomMoves(t *testing.T) {
-	col := telemetry.NewCollector()
+	tr := telemetry.NewTrace(telemetry.TraceID{})
 	for seed := int64(100); seed < 115; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, obsInt, params := randomProblem(rng, 4+rng.Intn(24))
@@ -199,7 +199,7 @@ func TestCrossCheckAgreesOnRandomMoves(t *testing.T) {
 		}
 		st, err := solverstate.New(g, r0, solverstate.Config{
 			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-			CheckLabels: true, Recorder: col,
+			CheckLabels: true, Recorder: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +216,7 @@ func TestCrossCheckAgreesOnRandomMoves(t *testing.T) {
 			}
 		}
 	}
-	if col.Stats().Counter(telemetry.CounterLabelPatches) == 0 {
+	if tr.Doc("", "", "", "", false).Stats().Counter(telemetry.CounterLabelPatches) == 0 {
 		t.Fatal("random walks never exercised the patch path")
 	}
 }
@@ -263,10 +263,10 @@ func TestFallbackPaths(t *testing.T) {
 	seedLab, _ := elw.ComputeLabels(g, r0, params)
 
 	t.Run("forced", func(t *testing.T) {
-		col := telemetry.NewCollector()
+		tr := telemetry.NewTrace(telemetry.TraceID{})
 		st, err := solverstate.New(g, r0, solverstate.Config{
 			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-			FullRecompute: true, Recorder: col,
+			FullRecompute: true, Recorder: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +276,7 @@ func TestFallbackPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.Rollback()
-		s := col.Stats()
+		s := tr.Doc("", "", "", "", false).Stats()
 		if s.Counter(telemetry.CounterLabelPatches) != 0 || s.Counter(telemetry.CounterLabelFallbacks) != 1 {
 			t.Fatalf("patches=%d fallbacks=%d, want 0/1",
 				s.Counter(telemetry.CounterLabelPatches), s.Counter(telemetry.CounterLabelFallbacks))
@@ -286,10 +286,10 @@ func TestFallbackPaths(t *testing.T) {
 	t.Run("threshold", func(t *testing.T) {
 		// An explicit threshold disables the small-circuit floor, so any
 		// non-empty region exceeds a sub-one-vertex limit.
-		col := telemetry.NewCollector()
+		tr := telemetry.NewTrace(telemetry.TraceID{})
 		st, err := solverstate.New(g, r0, solverstate.Config{
 			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-			DirtyThreshold: 1e-9, Recorder: col,
+			DirtyThreshold: 1e-9, Recorder: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +310,7 @@ func TestFallbackPaths(t *testing.T) {
 		if !moved {
 			t.Skip("no single legal move in this instance")
 		}
-		s := col.Stats()
+		s := tr.Doc("", "", "", "", false).Stats()
 		if s.Counter(telemetry.CounterLabelFallbacks) == 0 {
 			t.Fatal("sub-vertex threshold did not trigger the fallback")
 		}
@@ -320,9 +320,9 @@ func TestFallbackPaths(t *testing.T) {
 	})
 
 	t.Run("no-seed", func(t *testing.T) {
-		col := telemetry.NewCollector()
+		tr := telemetry.NewTrace(telemetry.TraceID{})
 		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, Recorder: col,
+			Params: params, ObsInt: obsInt, Recorder: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +339,7 @@ func TestFallbackPaths(t *testing.T) {
 			t.Fatalf("bootstrap labels diverge at v%d", v)
 		}
 		st.Rollback()
-		if s := col.Stats(); s.Counter(telemetry.CounterLabelFulls) == 0 {
+		if s := tr.Doc("", "", "", "", false).Stats(); s.Counter(telemetry.CounterLabelFulls) == 0 {
 			t.Fatal("bootstrap did not run a full recompute")
 		}
 	})

@@ -4,17 +4,17 @@
 // machinery, and the RetimeRobust degradation chain.
 //
 // The package has no dependencies outside the standard library and is
-// built around a single small interface, Recorder, with three
+// built around a single small interface, Recorder, with two
 // implementations:
 //
-//	Nop         the default: every method is an empty body. The hot path
-//	            of the optimizer runs against it with zero allocations
-//	            and unmeasurable overhead, so instrumentation is always
-//	            compiled in and always on.
-//	Collector   in-memory aggregation: per-phase durations/counts,
-//	            counter totals, gauge maxima — summarized as a RunStats.
-//	JSONLWriter a streaming trace: one JSON object per event, replayable
-//	            into RunStats with ReadJSONL + Replay (seranalyze -trace).
+//	Nop    the default: every method is an empty body. The hot path of
+//	       the optimizer runs against it with zero allocations and
+//	       unmeasurable overhead, so instrumentation is always compiled
+//	       in and always on.
+//	Trace  the one in-process recorder: a per-run span tree whose spans
+//	       also carry the counters and gauges that fired inside them.
+//	       Its TraceDoc is the one on-disk format (one JSON line per
+//	       run), and TraceDoc.Stats folds it into the RunStats report.
 //
 // Phases, counters and gauges are small integer enums — not strings — so
 // that recording on the optimizer's inner loop never allocates.
@@ -167,6 +167,10 @@ const (
 	// CounterExactClosures counts exact max-weight-closure cuts (cache
 	// misses of the incremental closed-set maintenance).
 	CounterExactClosures
+	// CounterSeedArcs counts the requirement arcs a warm-started closure
+	// engine was seeded with before its first step (one event per seeded
+	// engine), so a trace shows seeded against lazy constraint discovery.
+	CounterSeedArcs
 	// CounterForestLinks / CounterForestBreaks count weighted-regular-
 	// forest restructuring operations (Link and BreakTree).
 	CounterForestLinks
@@ -219,6 +223,7 @@ var counterNames = [NumCounters]string{
 	CounterViolationsP2:    "violations-p2",
 	CounterELWRecomputes:   "elw-recomputes",
 	CounterExactClosures:   "exact-closures",
+	CounterSeedArcs:        "seed-arcs",
 	CounterForestLinks:     "forest-links",
 	CounterForestBreaks:    "forest-breaks",
 	CounterWatchdogResets:  "watchdog-resets",
@@ -297,7 +302,7 @@ func ParseGauge(name string) (Gauge, bool) {
 // Recorder receives telemetry events. Implementations must be safe for
 // concurrent use; the solver calls Count and SpanStart/SpanEnd from its
 // inner loop, so implementations should avoid per-call allocation (Nop
-// and Collector counters allocate nothing).
+// allocates nothing, nor does Trace once a span holds the counter).
 //
 // Spans of the same phase are matched LIFO per recorder; the instrumented
 // code never nests a phase inside itself.
@@ -342,60 +347,4 @@ func OrNop(r Recorder) Recorder {
 		return Nop
 	}
 	return r
-}
-
-// multi fans events out to several recorders.
-type multi []Recorder
-
-func (m multi) SpanStart(p Phase) {
-	for _, r := range m {
-		r.SpanStart(p)
-	}
-}
-
-func (m multi) SpanEnd(p Phase, err error) {
-	for _, r := range m {
-		r.SpanEnd(p, err)
-	}
-}
-
-func (m multi) Count(c Counter, n int64) {
-	for _, r := range m {
-		r.Count(c, n)
-	}
-}
-
-func (m multi) Gauge(g Gauge, v int64) {
-	for _, r := range m {
-		r.Gauge(g, v)
-	}
-}
-
-// ShardSpan forwards shard events to the members that understand them,
-// so a Tee of Collector and Trace still delivers worker attribution to
-// the Trace.
-func (m multi) ShardSpan(op string, worker int, d time.Duration, err error) {
-	for _, r := range m {
-		if sr, ok := r.(ShardRecorder); ok {
-			sr.ShardSpan(op, worker, d, err)
-		}
-	}
-}
-
-// Tee fans events out to every non-nil recorder. With zero or one live
-// recorder it collapses to Nop or the recorder itself.
-func Tee(rs ...Recorder) Recorder {
-	var live multi
-	for _, r := range rs {
-		if r != nil && r != Nop {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return Nop
-	case 1:
-		return live[0]
-	}
-	return live
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"strings"
@@ -36,49 +37,101 @@ func TestEnumNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCollectorConcurrent hammers one Collector from many goroutines; run
-// under -race it proves the counter/gauge/span paths are safe for the
-// parallel sweeps serbench runs.
+// TestCollectorConcurrent hammers one trace, the run's only event
+// collector, with counter and gauge events from many goroutines — the
+// shape par workers produce — while the owner opens and closes phases,
+// so events land on whichever span is innermost. Run under -race; the
+// fold must still sum exactly.
 func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector()
-	const workers = 8
-	const perWorker = 1000
+	tr := NewTrace(TraceID{})
+	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Count(CounterSteps, 1)
-				c.Gauge(GaugePeakRetimingSpan, int64(i))
-				c.SpanStart(PhaseMinimize)
-				c.SpanEnd(PhaseMinimize, nil)
+				tr.Count(CounterSteps, 1)
+				tr.Count(CounterParBusyNanos, 2)
+				tr.Gauge(GaugePeakRetimingSpan, int64(i))
 			}
 		}()
 	}
+	for i := 0; i < 200; i++ {
+		tr.SpanStart(PhaseMinimize)
+		tr.SpanStart(PhaseLabelPatch)
+		tr.SpanEnd(PhaseLabelPatch, nil)
+		tr.SpanEnd(PhaseMinimize, nil)
+	}
 	wg.Wait()
-	s := c.Stats()
+	tr.Finish()
+	s := tr.Doc("", "", "", "", false).Stats()
 	if got := s.Counter(CounterSteps); got != workers*perWorker {
 		t.Errorf("steps = %d, want %d", got, workers*perWorker)
+	}
+	if got := s.Counter(CounterParBusyNanos); got != 2*workers*perWorker {
+		t.Errorf("par-busy-ns = %d, want %d", got, 2*workers*perWorker)
 	}
 	if got := s.Gauge(GaugePeakRetimingSpan); got != perWorker-1 {
 		t.Errorf("gauge max = %d, want %d", got, perWorker-1)
 	}
-	if got := s.Phases[PhaseMinimize].Count; got != workers*perWorker {
-		t.Errorf("minimize spans = %d, want %d", got, workers*perWorker)
+	if got := s.Phases[PhaseMinimize].Count; got != 200 {
+		t.Errorf("minimize spans = %d, want 200", got)
+	}
+	if got := s.Phases[PhaseLabelPatch].Count; got != 200 {
+		t.Errorf("label-patch spans = %d, want 200", got)
 	}
 }
 
+// TestCollectorMergeConcurrent drives one trace from goroutines that
+// each open and close spans and record counters and gauges in the same
+// interleaving, then checks the fold merged every event exactly. Run
+// with -race. Concurrent same-name spans nest under one another, so the
+// totals only hold if the fold walks the whole tree.
+func TestCollectorMergeConcurrent(t *testing.T) {
+	tr := NewTrace(TraceID{})
+	const gs, rounds = 8, 200
+	var wg sync.WaitGroup
+	for i := 0; i < gs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				tr.SpanStart(PhaseLabelPatch)
+				tr.SpanEnd(PhaseLabelPatch, nil)
+				tr.Count(Counter(0), 2)
+				tr.Gauge(Gauge(0), int64(i*rounds+j))
+			}
+		}(i)
+	}
+	wg.Wait()
+	tr.Finish()
+	st := tr.Doc("", "", "", "", false).Stats()
+	if got := st.Phases[PhaseLabelPatch].Count; got != gs*rounds {
+		t.Fatalf("span count = %d, want %d", got, gs*rounds)
+	}
+	if got := st.Counters[0]; got != gs*rounds*2 {
+		t.Fatalf("counter = %d, want %d", got, gs*rounds*2)
+	}
+	if max := st.Gauges[0]; max != (gs-1)*rounds+rounds-1 {
+		t.Fatalf("gauge max = %d, want %d", max, (gs-1)*rounds+rounds-1)
+	}
+}
+
+// TestCollectorSpans checks span bookkeeping through the fold: a
+// completed span's duration, a failed span's error count, an unmatched
+// SpanEnd ignored, and wall-clock taken from the document.
 func TestCollectorSpans(t *testing.T) {
-	c := NewCollector()
-	c.SpanStart(PhaseInit)
+	tr := NewTrace(TraceID{})
+	tr.SpanStart(PhaseInit)
 	time.Sleep(time.Millisecond)
-	c.SpanEnd(PhaseInit, nil)
-	c.SpanStart(PhaseMinimize)
-	c.SpanEnd(PhaseMinimize, errors.New("boom"))
-	c.SpanEnd(PhaseGains, nil) // unmatched: ignored
-	s := c.Stats()
-	if !s.Observed(PhaseInit) || s.Phases[PhaseInit].Total <= 0 {
+	tr.SpanEnd(PhaseInit, nil)
+	tr.SpanStart(PhaseMinimize)
+	tr.SpanEnd(PhaseMinimize, errors.New("boom"))
+	tr.SpanEnd(PhaseGains, nil) // unmatched: ignored
+	tr.Finish()
+	s := tr.Doc("", "", "", "", false).Stats()
+	if !s.Observed(PhaseInit) || s.Phases[PhaseInit].Total < time.Millisecond {
 		t.Errorf("init span not recorded: %+v", s.Phases[PhaseInit])
 	}
 	if s.Phases[PhaseMinimize].Errs != 1 {
@@ -92,43 +145,82 @@ func TestCollectorSpans(t *testing.T) {
 	}
 }
 
-// TestJSONLRoundTrip writes a synthetic run through JSONLWriter, reads it
-// back, and checks Replay reconstructs the same aggregates the seranalyze
-// -trace report path consumes.
+// TestJSONLRoundTrip records a run with nested, merged and failed spans
+// plus counters and gauges, writes it and a second run as encoded
+// document lines (the on-disk trace format), reads the lines back with
+// DecodeTraceDoc, and checks the fold the seranalyze -trace report is
+// printed from.
 func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	run := w.Run("s27")
-	run.SpanStart(PhaseSynthesize)
-	run.SpanEnd(PhaseSynthesize, nil)
-	run.SpanStart(PhaseTierMinObsWin)
-	run.SpanStart(PhaseMinimize)
-	run.Count(CounterSteps, 3)
-	run.Count(CounterSteps, 2)
-	run.Gauge(GaugePeakRetimingSpan, 4)
-	run.Gauge(GaugePeakRetimingSpan, 2) // below max: ignored by Replay
-	run.SpanEnd(PhaseMinimize, nil)
-	run.SpanEnd(PhaseTierMinObsWin, errors.New("stalled"))
-	other := w.Run("s386")
-	other.Count(CounterCommits, 1)
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	tr := NewTrace(TraceID{})
+	tr.SpanStart(PhaseSynthesize)
+	tr.SpanEnd(PhaseSynthesize, nil)
+	tr.SpanStart(PhaseTierMinObsWin)
+	tr.SpanStart(PhaseInit)
+	tr.SpanStart(PhaseELWRecompute)
+	tr.Count(CounterELWRecomputes, 1)
+	tr.SpanEnd(PhaseELWRecompute, nil)
+	time.Sleep(time.Millisecond)
+	tr.SpanEnd(PhaseInit, nil)
+	tr.SpanStart(PhaseMinimize)
+	tr.Count(CounterSeedArcs, 12)
+	for i := 0; i < 3; i++ { // merged level-2 spans accumulate counters
+		tr.SpanStart(PhaseFindViolations)
+		tr.Count(CounterSteps, 1)
+		tr.SpanStart(PhaseELWRecompute)
+		tr.Count(CounterELWRecomputes, 1)
+		tr.SpanEnd(PhaseELWRecompute, nil)
+		tr.SpanEnd(PhaseFindViolations, nil)
 	}
+	tr.Count(CounterCommits, 2)
+	tr.Gauge(GaugePeakRetimingSpan, 4)
+	tr.Gauge(GaugePeakRetimingSpan, 2) // below max: ignored
+	tr.SpanEnd(PhaseMinimize, nil)
+	tr.SpanEnd(PhaseTierMinObsWin, errors.New("stalled"))
+	tr.SpanEnd(PhaseGains, nil) // unmatched: ignored
+	tr.Count(CounterTierTransitions, 1)
+	tr.Finish()
 
-	recs, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+	live := tr.Doc("", "s27", "done", "minobswin", false)
+	fv := live.Root.Find("find-violations")
+	if fv == nil || fv.Count != 3 || fv.Counters["steps"] != 3 {
+		t.Fatalf("merged find-violations = %+v, want count 3 with 3 steps", fv)
 	}
-	runs := Replay(recs)
-	if len(runs) != 2 {
-		t.Fatalf("Replay found %d runs, want 2", len(runs))
+	if live.Root.Counters["tier-transitions"] != 1 {
+		t.Fatalf("event outside every span not on the root: %v", live.Root.Counters)
 	}
-	s := runs["s27"]
-	if s == nil {
-		t.Fatal("run s27 missing")
+	other := NewTrace(TraceID{})
+	other.Count(CounterCommits, 1)
+	other.Finish()
+	var lines bytes.Buffer
+	for _, d := range []*TraceDoc{live, other.Doc("", "s386", "done", "", false)} {
+		lines.Write(d.Encode())
+		lines.WriteByte('\n')
 	}
-	if got := s.Counter(CounterSteps); got != 5 {
-		t.Errorf("steps = %d, want 5", got)
+	var docs []*TraceDoc
+	sc := bufio.NewScanner(&lines)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		d, err := DecodeTraceDoc(sc.Bytes())
+		if err != nil {
+			t.Fatalf("line %d: %v", len(docs)+1, err)
+		}
+		docs = append(docs, d)
+	}
+	if len(docs) != 2 || docs[0].Name != "s27" || docs[1].Name != "s386" {
+		t.Fatalf("read back %d documents, want s27 and s386", len(docs))
+	}
+	if got := docs[1].Stats().Counter(CounterCommits); got != 1 {
+		t.Errorf("run s386 commits = %d, want 1", got)
+	}
+	doc := docs[0]
+	s := doc.Stats()
+	for c, want := range map[Counter]int64{
+		CounterSteps: 3, CounterCommits: 2, CounterELWRecomputes: 4,
+		CounterSeedArcs: 12, CounterTierTransitions: 1,
+	} {
+		if got := s.Counter(c); got != want {
+			t.Errorf("%s = %d, want %d", c, got, want)
+		}
 	}
 	if got := s.Gauge(GaugePeakRetimingSpan); got != 4 {
 		t.Errorf("gauge = %d, want 4", got)
@@ -136,52 +228,49 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if s.Phases[PhaseTierMinObsWin].Errs != 1 {
 		t.Errorf("tier errs = %d, want 1", s.Phases[PhaseTierMinObsWin].Errs)
 	}
-	if s.Phases[PhaseMinimize].Count != 1 || s.Phases[PhaseMinimize].Total < 0 {
-		t.Errorf("minimize span not reconstructed: %+v", s.Phases[PhaseMinimize])
+	if got := s.Phases[PhaseELWRecompute].Count; got != 4 {
+		t.Errorf("elw-recompute spans = %d, want 4 (summed over both parents)", got)
 	}
-	if runs["s386"].Counter(CounterCommits) != 1 {
-		t.Errorf("run s386 commits = %d, want 1", runs["s386"].Counter(CounterCommits))
+	if !s.Observed(PhaseInit) || s.Phases[PhaseInit].Total < time.Millisecond {
+		t.Errorf("init span not folded: %+v", s.Phases[PhaseInit])
+	}
+	if s.Observed(PhaseGains) {
+		t.Error("unmatched SpanEnd produced a span")
+	}
+	if s.Wall != time.Duration(doc.WallNS) || s.Wall <= 0 {
+		t.Errorf("wall = %v, doc wall_ns = %d", s.Wall, doc.WallNS)
+	}
+	if level, frac := s.Coverage(); level != 0 || frac <= 0 || frac > 1 {
+		t.Errorf("coverage = level %d, %.2f", level, frac)
+	}
+
+	sum := &RunStats{}
+	sum.Add(s)
+	sum.Add(s)
+	if sum.Counter(CounterSteps) != 6 || sum.Gauge(GaugePeakRetimingSpan) != 4 ||
+		sum.Phases[PhaseMinimize].Count != 2 || sum.Wall != 2*s.Wall {
+		t.Errorf("Add: steps %d gauge %d minimize %d wall %v",
+			sum.Counter(CounterSteps), sum.Gauge(GaugePeakRetimingSpan), sum.Phases[PhaseMinimize].Count, sum.Wall)
 	}
 
 	var report strings.Builder
-	if err := s.WriteReport(&report, "s27"); err != nil {
+	if err := s.WriteReport(&report, doc.Name); err != nil {
 		t.Fatalf("WriteReport: %v", err)
 	}
-	for _, want := range []string{"== run s27 ==", "tier:minobswin", "minimize", "steps", "peak-retiming-span"} {
+	for _, want := range []string{"== run s27 ==", "tier:minobswin", "minimize", "steps", "seed-arcs", "peak-retiming-span"} {
 		if !strings.Contains(report.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, report.String())
 		}
 	}
 }
 
-func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"t\":1}\nnot json\n")); err == nil {
-		t.Error("malformed line accepted")
-	} else if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error does not carry the line number: %v", err)
-	}
-	recs, err := ReadJSONL(strings.NewReader("\n\n"))
-	if err != nil || len(recs) != 0 {
-		t.Errorf("blank-only input: recs=%d err=%v", len(recs), err)
-	}
-}
-
-func TestTeeAndOrNop(t *testing.T) {
+func TestOrNop(t *testing.T) {
 	if OrNop(nil) != Nop {
 		t.Error("OrNop(nil) != Nop")
 	}
-	if Tee() != Nop || Tee(nil, nil) != Nop {
-		t.Error("empty Tee != Nop")
-	}
-	c := NewCollector()
-	if Tee(nil, c) != Recorder(c) {
-		t.Error("single-recorder Tee did not collapse")
-	}
-	c2 := NewCollector()
-	both := Tee(c, c2)
-	both.Count(CounterCommits, 2)
-	if c.Stats().Counter(CounterCommits) != 2 || c2.Stats().Counter(CounterCommits) != 2 {
-		t.Error("Tee did not fan out")
+	tr := NewTrace(TraceID{})
+	if OrNop(tr) != Recorder(tr) {
+		t.Error("OrNop replaced a live recorder")
 	}
 }
 
@@ -200,14 +289,18 @@ func TestNopZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCollectorCountZeroAllocs keeps the live counter hot path
-// allocation-free too (atomics only).
-func TestCollectorCountZeroAllocs(t *testing.T) {
-	c := NewCollector()
+// TestTraceCountZeroAllocs keeps the live counter path allocation-free
+// once a span holds the counter: the solver's inner loop counts into the
+// same few spans over and over.
+func TestTraceCountZeroAllocs(t *testing.T) {
+	tr := NewTrace(TraceID{})
+	tr.SpanStart(PhaseMinimize)
+	tr.Count(CounterSteps, 1)
+	tr.Gauge(GaugePeakRetimingSpan, 3)
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Count(CounterSteps, 1)
-		c.Gauge(GaugePeakRetimingSpan, 3)
+		tr.Count(CounterSteps, 1)
+		tr.Gauge(GaugePeakRetimingSpan, 3)
 	}); n != 0 {
-		t.Errorf("Collector counters allocate %.1f allocs/op, want 0", n)
+		t.Errorf("Trace counters allocate %.1f allocs/op, want 0", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"time"
@@ -73,8 +74,8 @@ func ParseTraceparent(h string) (TraceID, bool) {
 // nanosecond offsets from the trace's start, so a persisted tree is
 // self-contained. Inner-loop phases (Phase.Level() >= 2) and parallel
 // shards are merged: repeated instances under one parent collapse into a
-// single node whose Count and DurNS accumulate, keeping the tree bounded
-// no matter how many optimizer iterations ran.
+// single node whose Count, DurNS, Counters and Gauges accumulate, keeping
+// the tree bounded no matter how many optimizer iterations ran.
 type Span struct {
 	// Name is the phase name ("tier:minobswin", "minimize", ...), a
 	// service-level span ("queue-wait", "solve"), or a parallel section
@@ -94,11 +95,16 @@ type Span struct {
 	Worker int `json:"worker,omitempty"`
 	// Errs counts instances that ended with an error; Err is the last
 	// error text.
-	Errs int   `json:"errs,omitempty"`
+	Errs int    `json:"errs,omitempty"`
 	Err  string `json:"err,omitempty"`
 	// Open marks a span still running when the tree was snapshotted.
-	Open     bool    `json:"open,omitempty"`
-	Children []*Span `json:"children,omitempty"`
+	Open bool `json:"open,omitempty"`
+	// Counters holds the counter events (by Counter name) that fired
+	// while this span was the innermost open one, summed; Gauges the
+	// maximum sampled value of each gauge.
+	Counters map[string]int64 `json:"counters,omitempty"`
+	Gauges   map[string]int64 `json:"gauges,omitempty"`
+	Children []*Span          `json:"children,omitempty"`
 }
 
 // Find returns the first span named name in a depth-first walk of the
@@ -141,17 +147,14 @@ func (s *Span) Walk(fn func(depth int, sp *Span)) {
 // the tree depth, so the cap is rarely approached.
 const maxTraceSpans = 4096
 
-// Trace is a Recorder that builds a per-job span tree: phase spans from
-// the solver nest under the currently-open span, parallel shards are
-// attributed to workers via ShardSpan, and service-level spans
-// (queue-wait, solve) are opened with Begin/End. It is safe for
+// Trace is the Recorder that builds a per-run span tree: phase spans from
+// the solver nest under the currently-open span, counters and gauges
+// land on the innermost open span (the root when none is open), parallel
+// shards are attributed to workers via ShardSpan, and service-level
+// spans (queue-wait, solve) are opened with Begin/End. It is safe for
 // concurrent use; span nesting follows the recording goroutine's
 // open-span stack, which matches the solver's single-goroutine phase
 // discipline (shards are leaves and may arrive from any goroutine).
-//
-// A Trace is always used alongside a Collector via Tee — the Collector
-// aggregates, the Trace keeps the tree — so Count and Gauge events are
-// deliberately ignored here.
 type Trace struct {
 	id    TraceID
 	start time.Time
@@ -189,11 +192,37 @@ func (t *Trace) SpanStart(p Phase) { t.begin(p.String(), p.Level() >= 2, 0) }
 // SpanEnd implements Recorder.
 func (t *Trace) SpanEnd(p Phase, err error) { t.end(p.String(), err) }
 
-// Count implements Recorder (ignored; the Collector aggregates counters).
-func (t *Trace) Count(Counter, int64) {}
+// Count implements Recorder: n is added to counter c of the innermost
+// open span. Only the first event of a counter on a span allocates.
+func (t *Trace) Count(c Counter, n int64) {
+	if c >= NumCounters {
+		return
+	}
+	t.mu.Lock()
+	sp := t.top()
+	if sp.Counters == nil {
+		sp.Counters = make(map[string]int64, 4)
+	}
+	sp.Counters[c.String()] += n
+	t.mu.Unlock()
+}
 
-// Gauge implements Recorder (ignored).
-func (t *Trace) Gauge(Gauge, int64) {}
+// Gauge implements Recorder: the innermost open span keeps the maximum
+// sampled value of g.
+func (t *Trace) Gauge(g Gauge, v int64) {
+	if g >= NumGauges {
+		return
+	}
+	t.mu.Lock()
+	sp := t.top()
+	if sp.Gauges == nil {
+		sp.Gauges = make(map[string]int64, 2)
+	}
+	if cur, ok := sp.Gauges[g.String()]; !ok || v > cur {
+		sp.Gauges[g.String()] = v
+	}
+	t.mu.Unlock()
+}
 
 // Begin opens a named service-level span (e.g. "queue-wait").
 func (t *Trace) Begin(name string) { t.begin(name, false, 0) }
@@ -303,8 +332,10 @@ func (t *Trace) Finish() {
 // Snapshot deep-copies the span tree. Spans still open are marked Open
 // and their DurNS includes the running instance's elapsed time, so a
 // live snapshot of an in-flight job reads like a finished one.
-func (t *Trace) Snapshot() *Span {
-	now := time.Now()
+func (t *Trace) Snapshot() *Span { return t.snapshot(time.Now()) }
+
+// snapshot is Snapshot with open spans measured up to now.
+func (t *Trace) snapshot(now time.Time) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	open := make(map[*Span]time.Time, len(t.stack))
@@ -315,6 +346,8 @@ func (t *Trace) Snapshot() *Span {
 	cp = func(s *Span) *Span {
 		out := *s
 		out.Children = nil
+		out.Counters = maps.Clone(s.Counters)
+		out.Gauges = maps.Clone(s.Gauges)
 		if t0, ok := open[s]; ok {
 			out.Open = true
 			out.DurNS += int64(now.Sub(t0))
@@ -359,9 +392,11 @@ func (t *Trace) StackString() string {
 	return b.String()
 }
 
-// TraceDoc is the persisted form of one job's trace: the span tree plus
-// enough job metadata to aggregate fleets of documents without the job
-// table (seranalyze -tracedir).
+// TraceDoc is the persisted form of one run's trace — a daemon job, a
+// session solve, or a serbench circuit: the span tree plus enough
+// metadata to aggregate fleets of documents without the job table
+// (seranalyze -tracedir) or fold one into its RunStats (Stats). Encoded
+// documents, one per line, are the on-disk trace format.
 type TraceDoc struct {
 	TraceID  string    `json:"trace_id"`
 	JobID    string    `json:"job_id,omitempty"`
@@ -376,10 +411,12 @@ type TraceDoc struct {
 
 // Doc snapshots the trace into a document. It works on a live trace
 // (open spans annotated) as well as a finished one; wall-clock is the
-// time since the trace started.
+// time since the trace started, taken at the instant open spans are
+// measured to.
 func (t *Trace) Doc(jobID, name, status, tier string, degraded bool) *TraceDoc {
-	root := t.Snapshot()
-	wall := time.Since(t.start)
+	now := time.Now()
+	root := t.snapshot(now)
+	wall := now.Sub(t.start)
 	root.DurNS = int64(wall)
 	return &TraceDoc{
 		TraceID:  t.id.String(),

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -23,9 +21,9 @@ func TestTraceIDParse(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"abc",
-		"00000000000000000000000000000000",           // all-zero is invalid
-		"zz102030405060708090a0b0c0d0e0f0",           // not hex
-		"0102030405060708090a0b0c0d0e0f0102",         // too long
+		"00000000000000000000000000000000",   // all-zero is invalid
+		"zz102030405060708090a0b0c0d0e0f0",   // not hex
+		"0102030405060708090a0b0c0d0e0f0102", // too long
 	} {
 		if _, ok := ParseTraceID(bad); ok {
 			t.Errorf("ParseTraceID(%q) accepted", bad)
@@ -285,8 +283,8 @@ func TestTraceDocRoundTrip(t *testing.T) {
 		nil,
 		[]byte("{"),
 		[]byte(`{}`),
-		[]byte(`{"trace_id":"aa"}`),              // no root
-		[]byte(`{"root":{"name":"job"}}`),        // no trace ID
+		[]byte(`{"trace_id":"aa"}`),       // no root
+		[]byte(`{"root":{"name":"job"}}`), // no trace ID
 	} {
 		if _, err := DecodeTraceDoc(bad); err == nil {
 			t.Errorf("DecodeTraceDoc(%q) accepted", bad)
@@ -307,6 +305,21 @@ func TestQuantile(t *testing.T) {
 		if got := Quantile(ds, c.q); got != c.want {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
+	}
+	// Nearest rank is ceil(q·n): p95 of 11 samples is the 11th, not the
+	// 10th a rounded rank would pick; p95 of 20 is the 19th.
+	var eleven, twenty []time.Duration
+	for i := 1; i <= 20; i++ {
+		if i <= 11 {
+			eleven = append(eleven, time.Duration(i))
+		}
+		twenty = append(twenty, time.Duration(i))
+	}
+	if got := Quantile(eleven, 0.95); got != 11 {
+		t.Errorf("Quantile(n=11, 0.95) = %v, want the max 11", got)
+	}
+	if got := Quantile(twenty, 0.95); got != 19 {
+		t.Errorf("Quantile(n=20, 0.95) = %v, want 19", got)
 	}
 	// The input slice must not be reordered.
 	if ds[0] != 5 {
@@ -396,84 +409,5 @@ func TestExemplarHistogram(t *testing.T) {
 	}
 	if last != id2.String() {
 		t.Fatalf("bucket exemplar = %s, want %s", last, id2)
-	}
-}
-
-// TestJSONLWriterInterleaving streams events from many goroutines into
-// one writer and checks every emitted line is intact JSON with its run
-// label — no torn or interleaved lines. Run with -race.
-func TestJSONLWriterInterleaving(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	const writers, events = 8, 100
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			view := w.Run(fmt.Sprintf("run-%d", i))
-			for j := 0; j < events; j++ {
-				view.SpanStart(PhaseMinimize)
-				view.Count(0, 1)
-				view.SpanEnd(PhaseMinimize, nil)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte{'\n'})
-	if want := writers * events * 3; len(lines) != want {
-		t.Fatalf("%d lines, want %d", len(lines), want)
-	}
-	perRun := make(map[string]int)
-	for _, line := range lines {
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("torn line %q: %v", line, err)
-		}
-		perRun[rec.Run]++
-	}
-	if len(perRun) != writers {
-		t.Fatalf("run labels = %v", perRun)
-	}
-	for run, n := range perRun {
-		if n != events*3 {
-			t.Fatalf("run %s has %d events, want %d", run, n, events*3)
-		}
-	}
-}
-
-// TestCollectorMergeConcurrent drives one Collector from goroutines
-// covering every event type at once, then checks totals merged exactly.
-// Run with -race. (TestCollectorConcurrent covers counters; this one
-// adds spans and gauges in the same interleaving.)
-func TestCollectorMergeConcurrent(t *testing.T) {
-	c := NewCollector()
-	const gs, rounds = 8, 200
-	var wg sync.WaitGroup
-	for i := 0; i < gs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < rounds; j++ {
-				c.SpanStart(PhaseLabelPatch)
-				c.SpanEnd(PhaseLabelPatch, nil)
-				c.Count(Counter(0), 2)
-				c.Gauge(Gauge(0), int64(i*rounds+j))
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := c.Stats()
-	if got := st.Phases[PhaseLabelPatch].Count; got != gs*rounds {
-		t.Fatalf("span count = %d, want %d", got, gs*rounds)
-	}
-	if got := st.Counters[0]; got != gs*rounds*2 {
-		t.Fatalf("counter = %d, want %d", got, gs*rounds*2)
-	}
-	if max := st.Gauges[0]; max != (gs-1)*rounds+rounds-1 {
-		t.Fatalf("gauge max = %d, want %d", max, (gs-1)*rounds+rounds-1)
 	}
 }

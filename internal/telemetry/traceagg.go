@@ -3,13 +3,15 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
 )
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the durations using
-// the nearest-rank method; ds is not modified. Zero durations return 0.
+// the nearest-rank method — the ceil(q·n)-th smallest value; ds is not
+// modified. Zero durations return 0.
 func Quantile(ds []time.Duration, q float64) time.Duration {
 	if len(ds) == 0 {
 		return 0
@@ -20,7 +22,9 @@ func Quantile(ds []time.Duration, q float64) time.Duration {
 	if q <= 0 {
 		return sorted[0]
 	}
-	rank := int(q*float64(len(sorted)) + 0.5)
+	// The epsilon keeps a product that lands a rounding error above an
+	// integer (0.95·20) on that integer's rank.
+	rank := int(math.Ceil(q*float64(len(sorted)) - 1e-9))
 	if rank < 1 {
 		rank = 1
 	}

@@ -131,8 +131,9 @@ type RetimeOptions struct {
 	// init, gains, minimize, verify, rebuild, analysis and the optimizer's
 	// inner phases), counters, gauges, and the worker-pool utilization
 	// counters of the sharded analyses. nil records nothing; the no-op
-	// recorder costs nothing on the hot path. Use a telemetry.Collector for
-	// in-memory RunStats or a telemetry.JSONLWriter for a streaming trace.
+	// recorder costs nothing on the hot path. Use a telemetry.Trace for
+	// the run's span tree: its Doc encodes as one trace line, and
+	// Doc(...).Stats() folds it into the phase/counter RunStats.
 	Recorder telemetry.Recorder
 	// Workers bounds the CPU workers of the parallel analyses (signature
 	// simulation, ODC observability, exact-solver W/D build). 0 (or
@@ -144,12 +145,14 @@ type RetimeOptions struct {
 	// WarmStart bulk-seeds the optimizer's constraint engine with the P0
 	// requirement closure of each round's committed state instead of
 	// discovering the same constraints one violation batch at a time
-	// (core.Options.WarmStart). The committed fixpoint is unchanged —
-	// every tentative is still verified against the authoritative solver
-	// state before a commit (TestWarmStartMatchesCold asserts
-	// bit-identity) — so, like Workers, the field is result-invariant and
-	// excluded from CanonicalKey. The ECO session delta path sets it
-	// (DESIGN.md §17).
+	// (core.Options.WarmStart). Every tentative is still verified against
+	// the authoritative solver state before a commit, so the result is
+	// always a legal retiming, but it is not always the unseeded one: the
+	// seeded constraints steer the min-cut, and on a few inputs the
+	// retimed netlist differs (TestWarmStartCloseToCold: same tier and
+	// rounds, SER within 0.5%). It is excluded from CanonicalKey because
+	// only the ECO session delta path sets it (DESIGN.md §17), and
+	// sessions never share the job cache.
 	WarmStart bool
 }
 
@@ -220,8 +223,8 @@ func canonFloat(v float64) string {
 // that can influence the retiming result, with defaults applied — two
 // option values with equal keys request the same computation. Fields
 // documented result-invariant are excluded: Workers (bit-identical for
-// every count, DESIGN.md §11), WarmStart (same fixpoint, different
-// constraint-discovery cost, DESIGN.md §17), Recorder, Verify,
+// every count, DESIGN.md §11), WarmStart (set only by ECO sessions,
+// which bypass the job cache, DESIGN.md §17), Recorder, Verify,
 // CheckLabels and FullLabelRecompute (check/debug modes that can only
 // turn a result into an error, never change it). The service's
 // content-addressed cache hashes this string next to the normalized

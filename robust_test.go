@@ -13,6 +13,7 @@ import (
 	"serretime/internal/core"
 	"serretime/internal/guard"
 	"serretime/internal/retime"
+	"serretime/internal/telemetry"
 )
 
 // fastAnalysis keeps the robustness tests quick: the contracts under
@@ -375,5 +376,42 @@ func TestStallWatchdog(t *testing.T) {
 	}
 	if !errors.Is(err, guard.ErrStalled) {
 		t.Fatalf("error does not unwrap to guard.ErrStalled: %v", err)
+	}
+}
+
+// TestRetimeRobustTraceFold records a real RetimeRobust run into a trace
+// and checks that the fold of its document agrees with the result: the
+// steps counter covers the result's steps (failed tiers may add more),
+// the commits counter equals its rounds, and the top-level tier spans
+// cover at least 90% of the wall-clock. The wide analysis stretches the
+// tiny circuit's run to tens of milliseconds, so a scheduler pause
+// outside the tier spans is unlikely to sink the coverage.
+func TestRetimeRobustTraceFold(t *testing.T) {
+	d, err := Load(filepath.Join("testdata", "pipeline4.bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewTrace(telemetry.TraceID{})
+	res, err := d.RetimeRobust(context.Background(), RobustOptions{
+		RetimeOptions: RetimeOptions{Algorithm: MinObsWin, Recorder: tr, Verify: true,
+			Analysis: AnalysisOptions{Frames: 64, SignatureWords: 1024}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	doc, err := telemetry.DecodeTraceDoc(tr.Doc("", d.Name(), "done", res.Tier.String(), res.Degraded).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := doc.Stats()
+	if got := s.Counter(telemetry.CounterSteps); got < int64(res.Steps) || got == 0 {
+		t.Errorf("steps = %d, want >= %d and > 0", got, res.Steps)
+	}
+	if got := s.Counter(telemetry.CounterCommits); got != int64(res.Rounds) {
+		t.Errorf("commits = %d, want rounds %d", got, res.Rounds)
+	}
+	if level, frac := s.Coverage(); level != 0 || frac < 0.9 {
+		t.Errorf("level-%d coverage %.1f%%, want level 0 >= 90%%", level, 100*frac)
 	}
 }
