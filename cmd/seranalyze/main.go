@@ -13,10 +13,10 @@
 //
 // With -phi 0 the combinational critical path is used as the clock period.
 // Both trace modes read telemetry.TraceDoc documents: a file of one JSON
-// document per line (serbench -trace, serretimed -trace, serbench -serve
-// -trace) or a directory of one document per file (the serretimed
-// data-dir's traces/). With -trace, each document is folded into a
-// per-run phase/counter report instead of analyzing a netlist.
+// document per line (serbench -trace, serretimed -trace) or a directory
+// of one document per file (the serretimed data-dir's traces/). With
+// -trace, each document is folded into a per-run phase/counter report
+// instead of analyzing a netlist.
 // With -tracedir, the documents are aggregated into a fleet report:
 // queue-wait vs. solve-time percentiles, tier-fallback frequency, the
 // cross-job phase-time breakdown, and the slowest jobs by trace ID.
@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -104,7 +105,7 @@ func main() {
 
 // traceReport prints one phase/counter report per trace document, in
 // the documents' order, each folded from its span tree.
-func traceReport(w *os.File, path string) error {
+func traceReport(w io.Writer, path string) error {
 	docs, skipped, err := loadTraceDocs(path)
 	if err != nil {
 		return err
@@ -131,7 +132,7 @@ func traceReport(w *os.File, path string) error {
 
 // fleetReport aggregates telemetry.TraceDoc documents into a
 // fleet-level report.
-func fleetReport(w *os.File, path string, top int) error {
+func fleetReport(w io.Writer, path string, top int) error {
 	docs, skipped, err := loadTraceDocs(path)
 	if err != nil {
 		return err

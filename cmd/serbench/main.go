@@ -42,23 +42,8 @@
 // delta stream: generated single-gate perturbations are re-solved
 // incrementally through a serretime.WarmState and every result is
 // byte-compared against a cold full solve of the same mutated netlist
-// (the oracle). Alone it benchmarks in-process and prints
-// benchjson-compatible lines (`make bench-eco` → BENCH_eco.json); with
-// -serve it drives a running serretimed's /v1/sessions API instead
-// (eco.go).
-//
-// Two further client modes replace the in-process sweep: -serve bursts the
-// payload set at a running serretimed and verifies its caching and
-// determinism promises (serve.go) — it mints a trace ID per submission,
-// propagates it via the Traceparent header, prints client-side
-// submit→result latency percentiles, and with -trace downloads every
-// job's persisted span tree as trace document lines (exit 1 if any accepted
-// job's trace is missing; aggregate with seranalyze -tracedir) — and
-// -crashbin runs a kill-recover
-// chaos harness — boot a child daemon on a data directory, burst,
-// SIGKILL it mid-burst, reboot on the same directory, and demand every
-// confirmed pre-crash result is served as a byte-identical cache hit
-// (crash.go).
+// (the oracle). It benchmarks in-process and prints benchjson-compatible
+// lines (`make bench-eco` → BENCH_eco.json; see eco.go).
 package main
 
 import (
@@ -134,17 +119,6 @@ type config struct {
 	cpuProfile  string
 	memProfile  string
 
-	// -serve client mode (see serve.go)
-	serveURL     string
-	burst        int
-	pollInterval time.Duration
-	serveWait    time.Duration
-
-	// -crashbin chaos-harness mode (see crash.go)
-	crashBin     string
-	crashDir     string
-	crashMetrics string
-
 	// -eco warm-session mode (see eco.go)
 	ecoPath   string
 	ecoDeltas int
@@ -185,19 +159,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.retries, "retries", 0, "extra attempts per degradation tier after a transient failure")
 	fs.IntVar(&cfg.stallSteps, "stallsteps", 0, "abort an optimizer run after this many steps without improvement (0 = off)")
 	fs.StringVar(&cfg.faultInject, "faultinject", "", "comma-separated circuit names whose runs are fault-injected (testing)")
-	fs.StringVar(&cfg.tracePath, "trace", "", "write each circuit's trace document (span tree, counters, gauges) as one JSON line (read with seranalyze -trace); with -serve, collect every job's trace document the same way (read with seranalyze -tracedir)")
+	fs.StringVar(&cfg.tracePath, "trace", "", "write each circuit's trace document (span tree, counters, gauges) as one JSON line (read with seranalyze -trace)")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "collect per-circuit phase metrics and add a phase-breakdown column")
 	fs.BoolVar(&cfg.checkLabels, "checklabels", false, "cross-check every incremental label patch against the full-recompute oracle; mismatches fail the row")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the sweep")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile at the end of the sweep")
-	fs.StringVar(&cfg.serveURL, "serve", "", "load-generator client mode: hammer a running serretimed at this base URL instead of solving in-process")
-	fs.IntVar(&cfg.burst, "burst", 64, "with -serve, concurrent submissions in the burst")
-	fs.DurationVar(&cfg.pollInterval, "poll", 200*time.Millisecond, "with -serve, job status poll interval")
-	fs.DurationVar(&cfg.serveWait, "servewait", 10*time.Minute, "with -serve, overall client deadline for the burst")
-	fs.StringVar(&cfg.crashBin, "crashbin", "", "chaos-harness mode: kill-recover test this serretimed binary instead of sweeping in-process")
-	fs.StringVar(&cfg.crashDir, "crashdir", "", "with -crashbin, the child daemon's -data-dir (default: a temp dir, removed afterwards)")
-	fs.StringVar(&cfg.crashMetrics, "crashmetrics", "", "with -crashbin, snapshot the post-recovery /metrics page to this file")
-	fs.StringVar(&cfg.ecoPath, "eco", "", "ECO mode: stream generated deltas against this base netlist, oracle-checking every incremental result against a cold full solve; alone it benchmarks in-process (pipe to cmd/benchjson), with -serve it drives a running serretimed's session API")
+	fs.StringVar(&cfg.ecoPath, "eco", "", "ECO mode: stream generated deltas against this base netlist, oracle-checking every incremental result against a cold full solve, and print benchmark lines (pipe to cmd/benchjson)")
 	fs.IntVar(&cfg.ecoDeltas, "deltas", 16, "with -eco, perturbations to apply")
 	fs.Int64Var(&cfg.ecoSeed, "ecoseed", 1, "with -eco, delta-generator seed")
 	fs.Float64Var(&cfg.ecoMin, "ecomin", 0, "with -eco, fail (exit 2) when the warm/cold speedup is below this factor (0 = report only)")
@@ -230,14 +197,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "serbench: unknown engine %q\n", cfg.engine)
 		return 2
 	}
-	if cfg.crashBin != "" {
-		return runCrash(cfg, stdout, stderr)
-	}
 	if cfg.ecoPath != "" {
 		return runECO(cfg, eng, stdout, stderr)
-	}
-	if cfg.serveURL != "" {
-		return runServe(cfg, stdout, stderr)
 	}
 
 	var jobs []job

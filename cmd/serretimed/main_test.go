@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"serretime"
+	"serretime/internal/telemetry"
 )
 
 // buildDaemon compiles the serretimed binary once per test run.
@@ -48,9 +50,10 @@ func (b *lockedBuffer) String() string {
 
 // daemon is one serretimed child process under test.
 type daemon struct {
-	cmd  *exec.Cmd
-	base string // http://host:port
-	out  *lockedBuffer
+	cmd     *exec.Cmd
+	base    string // http://host:port
+	out     *lockedBuffer
+	drained chan struct{} // closed once stdout hits EOF: the child exited
 }
 
 // startDaemon boots the binary on a kernel-chosen port and waits for its
@@ -76,7 +79,9 @@ func startDaemon(t *testing.T, bin, dataDir string, extra ...string) *daemon {
 	})
 
 	addr := make(chan string, 1)
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		defer io.Copy(buf, stdout) // keep draining after the address line
 		rd := make([]byte, 4096)
 		var acc []byte
@@ -101,7 +106,7 @@ func startDaemon(t *testing.T, bin, dataDir string, extra ...string) *daemon {
 		if a == "" {
 			t.Fatalf("daemon died before listening:\n%s", buf.String())
 		}
-		return &daemon{cmd: cmd, base: "http://" + a, out: buf}
+		return &daemon{cmd: cmd, base: "http://" + a, out: buf, drained: drained}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("daemon never announced its address:\n%s", buf.String())
 		return nil
@@ -115,6 +120,23 @@ func (d *daemon) kill(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = d.cmd.Wait()
+}
+
+// stop SIGTERMs the daemon and waits for it to drain and exit — the
+// graceful path kill skips — and returns its exit status. Its log is
+// complete once stop returns: Wait runs only after stdout reached EOF,
+// since Wait closes the pipe and would cut off the last lines.
+func (d *daemon) stop(t *testing.T) error {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.drained:
+	case <-time.After(time.Minute):
+		t.Fatalf("daemon did not exit within a minute of SIGTERM:\n%s", d.out.String())
+	}
+	return d.cmd.Wait()
 }
 
 type submitReply struct {
@@ -141,16 +163,23 @@ func submit(t *testing.T, base string, body []byte) submitReply {
 	return r
 }
 
+// get fetches url and returns the status code and body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, data
+}
+
 func waitDone(t *testing.T, base, id string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		_, data := get(t, base+"/v1/jobs/"+id)
 		var v struct {
 			Status, Error string
 		}
@@ -168,14 +197,9 @@ func waitDone(t *testing.T, base, id string) {
 
 func fetchResult(t *testing.T, base, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result: HTTP %d: %.300s", resp.StatusCode, data)
+	code, data := get(t, base+"/v1/jobs/"+id+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result: HTTP %d: %.300s", code, data)
 	}
 	return data
 }
@@ -236,6 +260,11 @@ func TestKillRecover(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("recovered result differs from pre-crash result")
 	}
+	// The pre-crash job's persisted span tree is served after the reboot.
+	code, tdata := get(t, d2.base+"/v1/jobs/"+r1.ID+"/trace")
+	if doc, err := telemetry.DecodeTraceDoc(tdata); err != nil || doc.Root.Find("solve") == nil {
+		t.Fatalf("recovered trace: HTTP %d, %v: %.300s", code, err, tdata)
+	}
 
 	waitDone(t, d2.base, r2.ID)
 	if res := fetchResult(t, d2.base, r2.ID); len(res) == 0 {
@@ -243,12 +272,7 @@ func TestKillRecover(t *testing.T) {
 	}
 
 	// The health endpoint reports the recovery.
-	resp, err := http.Get(d2.base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdata, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, hdata := get(t, d2.base+"/healthz")
 	var h struct {
 		StoreMode         string `json:"store_mode"`
 		RecoveredFinished int    `json:"recovered_finished"`
@@ -262,6 +286,19 @@ func TestKillRecover(t *testing.T) {
 	if h.StoreMode != "disk" || h.RecoveredFinished+h.RecoveredRequeued != 2 || h.RecoveredFinished < 1 {
 		t.Fatalf("healthz after recovery: %+v\nlogs:\n%s", h, d2.out.String())
 	}
+	// /metrics carries the same recovery as the store families.
+	_, mdata := get(t, d2.base+"/metrics")
+	for _, want := range []string{
+		`serretimed_store_mode{mode="disk"} 1`,
+		fmt.Sprintf(`serretimed_store_recovered_jobs_total{kind="finished"} %d`, h.RecoveredFinished),
+		fmt.Sprintf(`serretimed_store_recovered_jobs_total{kind="requeued"} %d`, h.RecoveredRequeued),
+		"serretimed_store_quarantined_total 0",
+		"serretimed_store_errors_total 0",
+	} {
+		if !strings.Contains(string(mdata), want+"\n") {
+			t.Errorf("/metrics after recovery lacks %q", want)
+		}
+	}
 	d2.kill(t)
 
 	// Life 3: everything — including the job life 2 re-solved — is now a
@@ -271,6 +308,61 @@ func TestKillRecover(t *testing.T) {
 		t.Fatalf("third-life resubmit of re-solved job: %q, want cached\nlogs:\n%s", rr.Disposition, d3.out.String())
 	}
 	fmt.Println("kill-recover: cache survived two crashes")
+}
+
+// TestGracefulStopFlushesTraceSink drives the drain path of the binary:
+// with -trace set, two distinct netlists and a duplicate of the first are
+// submitted, the daemon gets SIGTERM, and it must exit 0 after logging
+// "serretimed: stopped". The sink then holds one decodable trace document
+// per solve — the duplicate is answered from the first job, not solved —
+// each with a timed "solve" span and solver phases under it.
+func TestGracefulStopFlushesTraceSink(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	bin := buildDaemon(t)
+	sink := filepath.Join(t.TempDir(), "sink.jsonl")
+	d := startDaemon(t, bin, t.TempDir(), "-trace", sink)
+
+	first, second := tableIBench(t, "b14_1_opt", 100), tableIBench(t, "s13207", 100)
+	r1, r2 := submit(t, d.base, first), submit(t, d.base, second)
+	dup := submit(t, d.base, first)
+	if r1.ID == r2.ID || dup.ID != r1.ID || (dup.Disposition != "coalesced" && dup.Disposition != "cached") {
+		t.Fatalf("submissions: %+v, %+v, duplicate %+v", r1, r2, dup)
+	}
+	waitDone(t, d.base, r1.ID)
+	waitDone(t, d.base, r2.ID)
+
+	if err := d.stop(t); err != nil {
+		t.Fatalf("exit after SIGTERM: %v\nlogs:\n%s", err, d.out.String())
+	}
+	if !strings.Contains(d.out.String(), "serretimed: stopped") {
+		t.Fatalf("no stop line in the log:\n%s", d.out.String())
+	}
+
+	data, err := os.ReadFile(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("sink has %d documents, want one per solve (2):\n%.600s", len(lines), data)
+	}
+	var fold telemetry.RunStats
+	for i, line := range lines {
+		doc, err := telemetry.DecodeTraceDoc([]byte(line))
+		if err != nil {
+			t.Fatalf("sink line %d: %v", i+1, err)
+		}
+		if solve := doc.Root.Find("solve"); solve == nil || solve.DurNS <= 0 {
+			t.Fatalf("sink line %d has no timed solve span: %.300s", i+1, line)
+		}
+		fold.Add(doc.Stats())
+	}
+	if fold.Phases[telemetry.PhaseMinimize].Total <= 0 || fold.Counter(telemetry.CounterSteps) == 0 {
+		t.Fatalf("sink folds to minimize %v, steps %d; want both > 0",
+			fold.Phases[telemetry.PhaseMinimize].Total, fold.Counter(telemetry.CounterSteps))
+	}
 }
 
 // TestMemoryOnlyModeUnchanged pins the default: no -data-dir, no store,
@@ -302,12 +394,7 @@ func TestMemoryOnlyModeUnchanged(t *testing.T) {
 		}
 	}
 	addr := strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(acc), "\n", 2)[0], "serretimed: listening on "))
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, data := get(t, "http://"+addr+"/healthz")
 	if !strings.Contains(string(data), `"store_mode": "memory"`) {
 		t.Fatalf("healthz: %.300s", data)
 	}

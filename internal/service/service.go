@@ -307,8 +307,9 @@ func New(ctx context.Context, cfg Config) *Server {
 
 // JobKey is the content address of (netlist, options): the hex SHA-256
 // of the canonical .bench serialization of the parsed design, a NUL, and
-// the canonical option key. Exported so clients (serbench -serve) and
-// tests can predict cache behavior.
+// the canonical option key. Exported so tests can predict cache
+// behavior; perfbench's replay (perfbench/replay.go) recomputes it to
+// time the job-key layer.
 func JobKey(d *serretime.Design, opt serretime.RobustOptions) (string, error) {
 	key, _, err := jobKey(d, opt)
 	return key, err

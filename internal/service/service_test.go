@@ -16,6 +16,7 @@ import (
 
 	"serretime"
 	"serretime/internal/guard"
+	"serretime/internal/telemetry"
 )
 
 // fastOpts keeps service tests quick: the queue/cache/drain contracts
@@ -261,6 +262,7 @@ func TestServiceConcurrentSubmissions(t *testing.T) {
 
 	const burst = 24
 	results := make([][]byte, burst)
+	ids := make([]string, burst)
 	errs := make([]error, burst)
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
@@ -288,6 +290,7 @@ func TestServiceConcurrentSubmissions(t *testing.T) {
 				errs[i] = err
 				return
 			}
+			ids[i] = msg.ID
 			j, ok := svc.Job(msg.ID)
 			if !ok {
 				errs[i] = fmt.Errorf("job %s not retained", msg.ID)
@@ -329,6 +332,15 @@ func TestServiceConcurrentSubmissions(t *testing.T) {
 	}
 	if accepted+coalesced+hits != burst {
 		t.Errorf("dispositions do not add up: %d+%d+%d != %d", accepted, coalesced, hits, burst)
+	}
+
+	// Every job the burst reached serves a finished span tree.
+	for _, id := range ids {
+		j, _ := svc.Job(id)
+		doc, err := telemetry.DecodeTraceDoc(svc.TraceJSON(j))
+		if err != nil || doc.Status != "done" || doc.Root.Find("solve") == nil {
+			t.Fatalf("job %s: trace %+v (%v), want a done document with a solve span", id, doc, err)
+		}
 	}
 }
 
