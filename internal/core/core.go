@@ -325,6 +325,9 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 	}
 	res.Initial = st.Objective()
 
+	// Every round starts from an empty engine; the closure engine is
+	// reset in place so its buffers are allocated once per run.
+	var ce *closureEngine
 	newEngine := func() (engine, error) {
 		var e engine
 		switch opt.Engine {
@@ -335,13 +338,16 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 			}
 			e = fe
 		default:
-			e = newClosureEngine(g.NumVertices(), gains)
+			if ce == nil {
+				ce = newClosureEngine(g.NumVertices(), gains, rec)
+			} else {
+				ce.reset()
+			}
+			e = ce
 		}
 		e.Freeze(int32(graph.Host))
-		if opt.WarmStart {
-			if ce, ok := e.(*closureEngine); ok {
-				rec.Count(telemetry.CounterSeedArcs, int64(seedRequirementClosure(ce, g, st, gains)))
-			}
+		if opt.WarmStart && ce != nil {
+			rec.Count(telemetry.CounterSeedArcs, int64(seedRequirementClosure(ce, g, st, gains)))
 		}
 		return e, nil
 	}
@@ -357,6 +363,7 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 	committedObj := res.Initial
 
 	maskSnap := make([]bool, g.NumVertices())
+	scan := newViolationScan(g.NumVertices())
 	needExact := true
 	// curPhase tracks the last inner-loop activity so a timeout or stall
 	// observed at the loop head is attributed to the phase the run
@@ -413,7 +420,7 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 			limit = 1
 		}
 		rec.SpanStart(telemetry.PhaseFindViolations)
-		viols, err := findViolations(g, st, maskSnap, params, opt, order, limit)
+		viols, err := scan.findViolations(g, st, maskSnap, params, opt, order, limit)
 		rec.SpanEnd(telemetry.PhaseFindViolations, err)
 		curPhase = telemetry.PhaseFindViolations.String()
 		if err != nil {
@@ -443,7 +450,8 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		}
 		st.Rollback()
 		rec.SpanStart(telemetry.PhaseRepair)
-		for _, v := range viols {
+		for i := range viols {
+			v := &viols[i]
 			res.Violations[v.kind]++
 			rec.Count(violationCounter(v.kind), 1)
 			if err := repair(eng, v, maskSnap); err != nil {
@@ -497,31 +505,51 @@ func repair(eng engine, v *violation, inI []bool) error {
 	return nil
 }
 
+// violationScan holds findViolations' buffers, reused across the steps
+// of one Minimize run.
+type violationScan struct {
+	seen  []uint32 // seen[q] == epoch: q already has a violation this pass
+	epoch uint32
+	out   []violation
+}
+
+func newViolationScan(n int) *violationScan {
+	return &violationScan{seen: make([]uint32, n)}
+}
+
+// add appends v unless its target already has one; it reports whether
+// the pass has reached its limit.
+func (sc *violationScan) add(v violation, limit int) bool {
+	if sc.seen[v.q] == sc.epoch {
+		return false
+	}
+	sc.seen[v.q] = sc.epoch
+	sc.out = append(sc.out, v)
+	return limit > 0 && len(sc.out) >= limit
+}
+
 // findViolations checks the tentative state in the configured order and
 // returns violations, at most one per target vertex q (repairs to the
 // same vertex must be observed sequentially — see Figure 3's weight
 // updates). limit > 0 caps the count (1 reproduces Algorithm 1 verbatim);
-// an empty result means the move is clean.
+// an empty result means the move is clean. The result is sc's own and
+// stays valid until the next call.
 //
 // The labels come from the transaction itself (st.Labels), so every
 // check kind of one pass observes labels consistent with the same edge
 // weights by construction — the previous lazy recompute-per-pass closure
 // could in principle be read against weights repaired since it was
 // filled; owning both in one transaction closes that hazard.
-func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params elw.Params, opt Options, order []Kind, limit int) ([]*violation, error) {
+func (sc *violationScan) findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params elw.Params, opt Options, order []Kind, limit int) ([]violation, error) {
 	wr := st.EdgeWeights()
-	var out []*violation
-	seenQ := make(map[graph.VertexID]bool)
-	add := func(v *violation) bool {
-		if seenQ[v.q] {
-			return false
-		}
-		seenQ[v.q] = true
-		out = append(out, v)
-		return limit > 0 && len(out) >= limit
+	sc.out = sc.out[:0]
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.seen)
+		sc.epoch = 1
 	}
 	for _, k := range order {
-		if len(out) > 0 {
+		if len(sc.out) > 0 {
 			// Repair one kind of violation per iteration: later kinds are
 			// checked once the earlier ones are clean (cheap structural
 			// checks gate the expensive timing-label checks).
@@ -538,8 +566,8 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 				if !inI[ed.To] {
 					return nil, fmt.Errorf("core: P0 violation on edge %d without mover", eid)
 				}
-				if add(&violation{kind: KindP0, p: ed.To, q: ed.From, w: -w}) {
-					return out, nil
+				if sc.add(violation{kind: KindP0, p: ed.To, q: ed.From, w: -w}, limit) {
+					return sc.out, nil
 				}
 			}
 		case KindP1:
@@ -557,8 +585,8 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 					return nil, fmt.Errorf("core: P1' violation at %s with endpoint %s outside I (Phi too tight?)",
 						g.Name(uid), g.Name(z))
 				}
-				if add(&violation{kind: KindP1, p: z, q: uid, w: 1}) {
-					return out, nil
+				if sc.add(violation{kind: KindP1, p: z, q: uid, w: 1}, limit) {
+					return sc.out, nil
 				}
 			}
 		case KindP2:
@@ -593,13 +621,13 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 				if !inI[p] && inI[z] {
 					p = z
 				}
-				if add(&violation{kind: KindP2, p: p, q: q, w: w}) {
-					return out, nil
+				if sc.add(violation{kind: KindP2, p: p, q: q, w: w}, limit) {
+					return sc.out, nil
 				}
 			}
 		}
 	}
-	return out, nil
+	return sc.out, nil
 }
 
 // violationCounter maps a violation kind to its telemetry counter.

@@ -2,7 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"serretime/internal/maxflow"
+	"serretime/internal/telemetry"
 )
 
 // TestForestEngineNearExact quantifies the paper's weighted-regular-forest
@@ -131,5 +135,116 @@ func TestCheckOrderInvariance(t *testing.T) {
 				t.Errorf("seed %d: order %v objective %d != %d", seed, orders[i], objs[i], objs[0])
 			}
 		}
+	}
+}
+
+// oracleClosure is the closure engine's exact cut computed from scratch:
+// local ids in arc order, one maxflow.MaxClosure over the touched
+// subgraph, untouched positive vertices in ascending order first.
+func oracleClosure(e *closureEngine) ([]int32, []bool) {
+	localID := make(map[int32]int32)
+	var local []int32
+	idOf := func(v int32) int32 {
+		if id, ok := localID[v]; ok {
+			return id
+		}
+		localID[v] = int32(len(local))
+		local = append(local, v)
+		return localID[v]
+	}
+	sub := make([][2]int32, len(e.arcs))
+	for i, a := range e.arcs {
+		sub[i] = [2]int32{idOf(a[0]), idOf(a[1])}
+	}
+	weights := make([]int64, len(local))
+	frozen := make([]bool, len(local))
+	for id, v := range local {
+		weights[id] = e.gains[v] * int64(e.w[v])
+		frozen[id] = e.frozen[v]
+	}
+	sel, subTotal := maxflow.MaxClosure(len(local), weights, frozen, sub)
+	mask := make([]bool, e.n)
+	var members []int32
+	var total int64
+	for v := int32(0); v < int32(e.n); v++ {
+		if _, ok := localID[v]; ok {
+			continue
+		}
+		if wt := e.gains[v] * int64(e.w[v]); !e.frozen[v] && wt > 0 {
+			mask[v] = true
+			members = append(members, v)
+			total += wt
+		}
+	}
+	if subTotal > 0 {
+		for id, v := range local {
+			if sel[id] {
+				mask[v] = true
+				members = append(members, v)
+			}
+		}
+		total += subTotal
+	}
+	if total <= 0 || len(members) == 0 {
+		return nil, make([]bool, e.n)
+	}
+	return members, mask
+}
+
+// TestClosureEngineMatchesFromScratch drives random constraint, weight
+// and freeze sequences through the closure engine, whose flow network
+// persists across cuts, and checks every exact cut against a from-scratch
+// max-closure over the same arcs: same members in the same order, same
+// mask. Weight decreases past the flow on a terminal edge and freezes of
+// touched vertices force the rebuild path, which must run too.
+func TestClosureEngineMatchesFromScratch(t *testing.T) {
+	tr := telemetry.NewTrace(telemetry.TraceID{})
+	cuts := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(40)
+		gains := make([]int64, n)
+		for v := 1; v < n; v++ {
+			gains[v] = int64(rng.Intn(21) - 10)
+		}
+		e := newClosureEngine(n, gains, tr)
+		for round := 0; round < 3; round++ {
+			if round > 0 {
+				e.reset()
+			}
+			e.Freeze(0)
+			for step := 0; step < 60; step++ {
+				v := int32(1 + rng.Intn(n-1))
+				switch r := rng.Intn(20); {
+				case r < 10:
+					q := int32(rng.Intn(n))
+					if q != v {
+						if err := e.AddConstraint(v, q); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case r < 16:
+					if err := e.SetWeight(v, 1+int32(rng.Intn(6))); err != nil {
+						t.Fatal(err)
+					}
+				case r < 17:
+					e.Freeze(v)
+				case r < 18:
+					e.PositiveSetFast()
+				default:
+					wantM, wantMask := oracleClosure(e)
+					gotM, gotMask := e.PositiveSet()
+					cuts++
+					if !slices.Equal(gotM, wantM) || !slices.Equal(gotMask, wantMask) {
+						t.Fatalf("seed %d round %d step %d: members %v, want %v", seed, round, step, gotM, wantM)
+					}
+				}
+			}
+		}
+	}
+	rebuilds := tr.Doc("", "", "", "", false).Stats().Counter(telemetry.CounterClosureRebuilds)
+	t.Logf("%d exact cuts, %d rebuilds", cuts, rebuilds)
+	if rebuilds == 0 || rebuilds*2 > int64(cuts) {
+		t.Fatalf("%d rebuilds over %d cuts: want both the rebuild and the incremental path exercised", rebuilds, cuts)
 	}
 }

@@ -157,3 +157,93 @@ func TestPropertyClosureMatchesBrute(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIncrementalMatchesFresh grows a network between MaxFlow calls —
+// new nodes, new edges, capacity added to or taken (within the residual)
+// from existing edges — and checks that the summed augmentations equal
+// the maximum flow of a fresh network with the final capacities, with
+// the same minimum-cut side.
+func TestIncrementalMatchesFresh(t *testing.T) {
+	type arc struct {
+		from, to int32
+		cap      int64
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(6)
+		g := New(n)
+		nodes := n
+		var arcs []arc
+		var ids []int32
+		var flow int64
+		addArc := func() {
+			u, v := int32(rng.Intn(nodes)), int32(rng.Intn(nodes))
+			if u == v {
+				return
+			}
+			c := int64(rng.Intn(10))
+			if rng.Intn(5) == 0 {
+				c = Inf
+			}
+			arcs = append(arcs, arc{u, v, c})
+			ids = append(ids, g.AddEdge(u, v, c))
+		}
+		for round := 0; round < 6; round++ {
+			for k := rng.Intn(3); k > 0; k-- {
+				if id := g.AddNode(); int(id) != nodes {
+					t.Fatalf("AddNode = %d, want %d", id, nodes)
+				}
+				nodes++
+			}
+			for k := rng.Intn(2 * nodes); k > 0; k-- {
+				addArc()
+			}
+			for k := 0; k < len(arcs) && k < 4; k++ {
+				i := rng.Intn(len(arcs))
+				if arcs[i].cap == Inf {
+					continue
+				}
+				d := int64(rng.Intn(7) - 3)
+				if d < 0 && -d > g.Residual(ids[i]) {
+					d = -g.Residual(ids[i])
+				}
+				g.Grow(ids[i], d)
+				arcs[i].cap += d
+			}
+			flow += g.MaxFlow(0, 1)
+
+			fresh := New(nodes)
+			for _, a := range arcs {
+				fresh.AddEdge(a.from, a.to, a.cap)
+			}
+			if want := fresh.MaxFlow(0, 1); flow != want {
+				t.Fatalf("seed %d round %d: incremental flow %d, fresh %d", seed, round, flow, want)
+			}
+			got, want := g.MinCutSide(0), fresh.MinCutSide(0)
+			for v := range want {
+				if got[v] != want[v] || g.SourceSide(int32(v)) != want[v] {
+					t.Fatalf("seed %d round %d: cut side differs at node %d", seed, round, v)
+				}
+			}
+		}
+	}
+}
+
+func TestResetReusesNetwork(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 2, 5)
+	g.AddEdge(2, 1, 3)
+	if f := g.MaxFlow(0, 1); f != 3 {
+		t.Fatalf("flow = %d, want 3", f)
+	}
+	g.Reset(2)
+	v := g.AddNode()
+	if v != 2 {
+		t.Fatalf("AddNode after Reset(2) = %d, want 2", v)
+	}
+	g.AddEdge(0, v, 4)
+	g.AddEdge(v, 1, 9)
+	if f := g.MaxFlow(0, 1); f != 4 {
+		t.Fatalf("flow after Reset = %d, want 4", f)
+	}
+}

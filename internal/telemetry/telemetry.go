@@ -167,6 +167,10 @@ const (
 	// CounterExactClosures counts exact max-weight-closure cuts (cache
 	// misses of the incremental closed-set maintenance).
 	CounterExactClosures
+	// CounterClosureRebuilds counts the exact cuts whose flow network
+	// could not be updated in place and was rebuilt from scratch (a
+	// weight decrease the flow already used, or a touched vertex frozen).
+	CounterClosureRebuilds
 	// CounterSeedArcs counts the requirement arcs a warm-started closure
 	// engine was seeded with before its first step (one event per seeded
 	// engine), so a trace shows seeded against lazy constraint discovery.
@@ -223,6 +227,7 @@ var counterNames = [NumCounters]string{
 	CounterViolationsP2:    "violations-p2",
 	CounterELWRecomputes:   "elw-recomputes",
 	CounterExactClosures:   "exact-closures",
+	CounterClosureRebuilds: "closure-rebuilds",
 	CounterSeedArcs:        "seed-arcs",
 	CounterForestLinks:     "forest-links",
 	CounterForestBreaks:    "forest-breaks",

@@ -163,6 +163,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.SpanEnd(PhaseInit, nil)
 	tr.SpanStart(PhaseMinimize)
 	tr.Count(CounterSeedArcs, 12)
+	tr.Count(CounterClosureRebuilds, 2)
 	for i := 0; i < 3; i++ { // merged level-2 spans accumulate counters
 		tr.SpanStart(PhaseFindViolations)
 		tr.Count(CounterSteps, 1)
@@ -216,7 +217,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	s := doc.Stats()
 	for c, want := range map[Counter]int64{
 		CounterSteps: 3, CounterCommits: 2, CounterELWRecomputes: 4,
-		CounterSeedArcs: 12, CounterTierTransitions: 1,
+		CounterSeedArcs: 12, CounterClosureRebuilds: 2, CounterTierTransitions: 1,
 	} {
 		if got := s.Counter(c); got != want {
 			t.Errorf("%s = %d, want %d", c, got, want)
