@@ -12,7 +12,8 @@ import (
 // TestAllocRegressionClosureEngine pins the optimizer's per-step paths at
 // zero allocations once their buffers have grown: a closure-engine round
 // (reset, exact cut, AddConstraint extending the cached set and hitting a
-// frozen vertex, dropForcing) and a findViolations pass. Each used to
+// frozen vertex, dropForcing), a findViolations pass and a solver-state
+// Retarget between two overlapping tentative sets. The first two used to
 // allocate a Go map per call.
 func TestAllocRegressionClosureEngine(t *testing.T) {
 	// Vertices 1..15 gain, 16..63 lose. Arcs: a forcing chain 15 → 14 →
@@ -79,6 +80,22 @@ func TestAllocRegressionClosureEngine(t *testing.T) {
 	pass()
 	if got := testing.AllocsPerRun(50, pass); got != 0 {
 		t.Errorf("findViolations: %.0f allocs, want 0", got)
+	}
+
+	var members []int32
+	for v, in := range inI {
+		if in {
+			members = append(members, int32(v))
+		}
+	}
+	unit := func(int32) int32 { return 1 }
+	retarget := func() {
+		st.Retarget(members[1:], unit)
+		st.Retarget(members, unit)
+	}
+	retarget()
+	if got := testing.AllocsPerRun(50, retarget); got != 0 {
+		t.Errorf("Retarget: %.0f allocs, want 0", got)
 	}
 	st.Rollback()
 }

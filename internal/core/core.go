@@ -307,10 +307,11 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		Violations: map[Kind]int{},
 	}
 	// The transactional state owns the retiming vector, the retimed edge
-	// weights, the L/R labels and the objective; tentative moves are
-	// applied with Begin and then either committed or rolled back. It
-	// replaces the recompute-per-move pattern: labels are patched over
-	// the dirty region instead of rebuilt per tentative.
+	// weights, the L/R labels and the objective. A round's discovery
+	// cascade keeps one transaction open: Begin applies the first
+	// tentative move, Retarget moves it to each next tentative set by the
+	// difference only, and a clean exact move is committed. Labels are
+	// patched over the dirty region instead of rebuilt per tentative.
 	st, err := solverstate.New(g, res.R, solverstate.Config{
 		Params:         params,
 		ObsInt:         obsInt,
@@ -414,7 +415,11 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		// engine's cached set mid-batch, but the bookkeeping must reflect
 		// what actually moved in THIS tentative.
 		copy(maskSnap, mask)
-		st.Begin(members, eng.Weight)
+		if st.Open() {
+			st.Retarget(members, eng.Weight)
+		} else {
+			st.Begin(members, eng.Weight)
+		}
 		limit := 0
 		if opt.SingleViolation {
 			limit = 1
@@ -424,14 +429,12 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		rec.SpanEnd(telemetry.PhaseFindViolations, err)
 		curPhase = telemetry.PhaseFindViolations.String()
 		if err != nil {
-			st.Rollback()
 			return nil, err
 		}
 		if len(viols) == 0 {
 			if !exact {
 				// Clean, but the set may not be maximal: recompute the
 				// exact closure before committing.
-				st.Rollback()
 				needExact = true
 				continue
 			}
@@ -448,7 +451,8 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 			needExact = true
 			continue
 		}
-		st.Rollback()
+		// The transaction stays open: repairs only touch the engine, and
+		// the next step retargets the move to the engine's new set.
 		rec.SpanStart(telemetry.PhaseRepair)
 		for i := range viols {
 			v := &viols[i]
@@ -461,6 +465,9 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		}
 		rec.SpanEnd(telemetry.PhaseRepair, nil)
 		curPhase = telemetry.PhaseRepair.String()
+	}
+	if st.Open() {
+		st.Rollback()
 	}
 	if res.Steps >= maxSteps {
 		res.Objective = st.CommittedObjective()

@@ -328,30 +328,121 @@ func (g *Graph) ZeroWeightTopo(r Retiming) ([]VertexID, error) {
 // under r: A(v) = d(v) + max over zero-weight in-edges (u,v) of A(u),
 // with registered and host inputs arriving at time 0. The second return
 // value is the maximum arrival (the combinational critical path delay).
+// Repeated sweeps should share one Sweep instead.
 func (g *Graph) ArrivalTimes(r Retiming) ([]float64, float64, error) {
-	order, err := g.ZeroWeightTopo(r)
-	if err != nil {
-		return nil, 0, err
+	return g.NewSweep().Arrivals(r)
+}
+
+// Sweep holds the buffers of the single-pass timing sweeps over the
+// zero-weight subgraph (edges with w_r = 0, host-incident edges
+// excluded), so repeated sweeps over one graph allocate nothing once
+// built. Each sweep is one Kahn pass that finalizes a vertex's value when
+// it is popped: by then every zero-weight neighbour it depends on has
+// pushed its value into it. Floating-point max does not depend on the
+// order of its operands, so the values equal those of a sweep over an
+// explicit topological order.
+type Sweep struct {
+	g      *Graph
+	zero   []bool // per edge: in the zero-weight subgraph under this sweep's r
+	deg    []int32
+	stack  []VertexID
+	val    []float64
+	sweeps int
+}
+
+// NewSweep returns a sweep scratch for g.
+func (g *Graph) NewSweep() *Sweep {
+	n := g.NumVertices()
+	return &Sweep{
+		g:     g,
+		zero:  make([]bool, g.NumEdges()),
+		deg:   make([]int32, n),
+		stack: make([]VertexID, 0, n),
+		val:   make([]float64, n),
 	}
-	arr := make([]float64, g.NumVertices())
+}
+
+// Graph returns the graph s sweeps.
+func (s *Sweep) Graph() *Graph { return s.g }
+
+// Sweeps returns the number of sweeps run on s.
+func (s *Sweep) Sweeps() int { return s.sweeps }
+
+// Arrivals is ArrivalTimes on the sweep's buffers. The returned slice is
+// the sweep's own and is overwritten by its next sweep.
+func (s *Sweep) Arrivals(r Retiming) ([]float64, float64, error) {
+	return s.run(r, false)
+}
+
+// ReverseArrivals computes, for each vertex v, the maximum delay of a
+// zero-weight path starting at v, inclusive of d(v): the mirror image of
+// Arrivals. The returned slice is the sweep's own and is overwritten by
+// its next sweep.
+func (s *Sweep) ReverseArrivals(r Retiming) ([]float64, error) {
+	val, _, err := s.run(r, true)
+	return val, err
+}
+
+// run is the one Kahn pass behind both directions: forward it propagates
+// along out-edges from the vertices without zero-weight fanin, reverse
+// along in-edges from those without zero-weight fanout.
+func (s *Sweep) run(r Retiming, reverse bool) ([]float64, float64, error) {
+	g := s.g
+	s.sweeps++
+	zero, deg, val := s.zero, s.deg, s.val
+	clear(deg)
+	clear(val)
+	for i := range g.eW {
+		from, to := g.eFrom[i], g.eTo[i]
+		zero[i] = from != Host && to != Host && g.eW[i]+r[to]-r[from] == 0
+		if !zero[i] {
+			continue
+		}
+		if reverse {
+			deg[from]++
+		} else {
+			deg[to]++
+		}
+	}
+	stack := s.stack[:0]
+	for v := 1; v < len(deg); v++ {
+		if deg[v] == 0 {
+			stack = append(stack, VertexID(v))
+		}
+	}
 	var crit float64
-	for _, v := range order {
-		a := 0.0
-		for _, eid := range g.In(v) {
-			from := g.eFrom[eid]
-			if from == Host || g.WR(eid, r) != 0 {
+	done := 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		done++
+		a := val[v] + g.delay[v]
+		val[v] = a
+		if a > crit {
+			crit = a
+		}
+		adj, far := g.Out(v), g.eTo
+		if reverse {
+			adj, far = g.In(v), g.eFrom
+		}
+		for _, eid := range adj {
+			if !zero[eid] {
 				continue
 			}
-			if arr[from] > a {
-				a = arr[from]
+			u := far[eid]
+			if a > val[u] {
+				val[u] = a
+			}
+			if deg[u]--; deg[u] == 0 {
+				stack = append(stack, u)
 			}
 		}
-		arr[v] = a + g.delay[v]
-		if arr[v] > crit {
-			crit = arr[v]
-		}
 	}
-	return arr, crit, nil
+	s.stack = stack
+	if done != len(deg)-1 {
+		return nil, 0, fmt.Errorf("graph: zero-weight cycle under retiming (%d of %d vertices ordered)", done, len(deg)-1)
+	}
+	return val, crit, nil
 }
 
 // Check verifies structural invariants of the graph itself: consistent

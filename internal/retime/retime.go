@@ -36,15 +36,6 @@ func Feasible(g *graph.Graph, r graph.Retiming, phi, ts float64) bool {
 	return crit <= phi-ts+eps
 }
 
-// FEAS runs the Leiserson–Saxe relaxation for the target period phi:
-// it repeatedly increments r(v) (moving registers backward, from fanouts
-// to fanins) for every vertex whose arrival time exceeds phi − ts.
-//
-// The host is never retimed (registers cannot move into the environment),
-// so the relaxation reports failure when a violating vertex drives a
-// primary output combinationally; FEASBackward covers the symmetric cases.
-// Together they form a sound (always-legal) but possibly conservative
-// min-period search; see MinPeriod.
 // feasPassCap bounds the relaxation pass count. The exact Leiserson–Saxe
 // bound is |V| passes, but convergence in practice tracks the logic depth;
 // capping keeps infeasible probes cheap on very large graphs at the cost
@@ -58,22 +49,33 @@ func feasPassCap(g *graph.Graph) int {
 	return n
 }
 
+// FEAS runs the Leiserson–Saxe relaxation for the target period phi:
+// it repeatedly increments r(v) (moving registers backward, from fanouts
+// to fanins) for every vertex whose arrival time exceeds phi − ts.
+//
+// The host is never retimed (registers cannot move into the environment),
+// so the relaxation reports failure when a violating vertex drives a
+// primary output combinationally; FEASBackward covers the symmetric cases.
+// Together they form a sound (always-legal) but possibly conservative
+// min-period search; see MinPeriod.
 func FEAS(g *graph.Graph, phi, ts float64) (graph.Retiming, bool) {
-	r, ok, _ := feasCtx(context.Background(), g, phi, ts)
+	r, ok, _ := feasCtx(context.Background(), g.NewSweep(), phi, ts)
 	return r, ok
 }
 
-// feasCtx is FEAS with a cancellation checkpoint per relaxation pass. The
-// error is non-nil only for cancellation (unwrapping to guard.ErrTimeout);
-// plain infeasibility stays (nil, false, nil).
-func feasCtx(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
+// feasCtx is FEAS with a cancellation checkpoint per relaxation pass,
+// sweeping on sw's buffers. The error is non-nil only for cancellation
+// (unwrapping to guard.ErrTimeout); plain infeasibility stays
+// (nil, false, nil).
+func feasCtx(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retiming, bool, error) {
+	g := sw.Graph()
 	r := graph.NewRetiming(g)
 	limit := feasPassCap(g)
 	for it := 0; it < limit; it++ {
 		if cerr := guard.CheckpointIn(ctx, "retime.FEAS", telemetry.PhaseInit.String()); cerr != nil {
 			return nil, false, cerr
 		}
-		arr, _, err := g.ArrivalTimes(r)
+		arr, _, err := sw.Arrivals(r)
 		if err != nil {
 			return nil, false, nil
 		}
@@ -104,18 +106,19 @@ func feasCtx(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retimi
 // every vertex whose backward path exceeds phi − ts. It covers circuits
 // whose critical paths end at primary outputs (where FEAS is blocked).
 func FEASBackward(g *graph.Graph, phi, ts float64) (graph.Retiming, bool) {
-	r, ok, _ := feasBackwardCtx(context.Background(), g, phi, ts)
+	r, ok, _ := feasBackwardCtx(context.Background(), g.NewSweep(), phi, ts)
 	return r, ok
 }
 
-func feasBackwardCtx(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
+func feasBackwardCtx(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retiming, bool, error) {
+	g := sw.Graph()
 	r := graph.NewRetiming(g)
 	limit := feasPassCap(g)
 	for it := 0; it < limit; it++ {
 		if cerr := guard.CheckpointIn(ctx, "retime.FEASBackward", telemetry.PhaseInit.String()); cerr != nil {
 			return nil, false, cerr
 		}
-		rarr, err := reverseArrivals(g, r)
+		rarr, err := sw.ReverseArrivals(r)
 		if err != nil {
 			return nil, false, nil
 		}
@@ -141,39 +144,14 @@ func feasBackwardCtx(ctx context.Context, g *graph.Graph, phi, ts float64) (grap
 	return nil, false, nil
 }
 
-// reverseArrivals computes, for each vertex v, the maximum delay of a
-// zero-weight path starting at v (inclusive of d(v)).
-func reverseArrivals(g *graph.Graph, r graph.Retiming) ([]float64, error) {
-	order, err := g.ZeroWeightTopo(r)
-	if err != nil {
-		return nil, err
-	}
-	rarr := make([]float64, g.NumVertices())
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		a := 0.0
-		for _, eid := range g.Out(v) {
-			e := g.Edge(eid)
-			if e.To == graph.Host || g.WR(eid, r) != 0 {
-				continue
-			}
-			if rarr[e.To] > a {
-				a = rarr[e.To]
-			}
-		}
-		rarr[v] = a + g.Delay(v)
-	}
-	return rarr, nil
-}
-
 // tryPeriod attempts phi with both relaxation directions. Forward moves
 // (FEASBackward) are preferred: they never pull registers out of the
 // environment and tend to reduce the register count.
-func tryPeriod(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
-	if r, ok, err := feasBackwardCtx(ctx, g, phi, ts); ok || err != nil {
+func tryPeriod(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retiming, bool, error) {
+	if r, ok, err := feasBackwardCtx(ctx, sw, phi, ts); ok || err != nil {
 		return r, ok, err
 	}
-	return feasCtx(ctx, g, phi, ts)
+	return feasCtx(ctx, sw, phi, ts)
 }
 
 // MinPeriod finds the smallest clock period (on the delay grid) reachable
@@ -182,11 +160,14 @@ func tryPeriod(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Reti
 // at the environment can make some periods unreachable by single-direction
 // relaxation.
 func MinPeriod(g *graph.Graph, ts float64) (graph.Retiming, float64, error) {
-	return minPeriodCtx(context.Background(), g, ts)
+	return minPeriodCtx(context.Background(), g.NewSweep(), ts)
 }
 
-func minPeriodCtx(ctx context.Context, g *graph.Graph, ts float64) (graph.Retiming, float64, error) {
-	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
+// minPeriodCtx keeps the retiming of the last feasible probe, so the
+// period the search settles on is not solved twice.
+func minPeriodCtx(ctx context.Context, sw *graph.Sweep, ts float64) (graph.Retiming, float64, error) {
+	g := sw.Graph()
+	_, crit, err := sw.Arrivals(graph.NewRetiming(g))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -196,19 +177,23 @@ func minPeriodCtx(ctx context.Context, g *graph.Graph, ts float64) (graph.Retimi
 		lo = hi
 	}
 	// Binary search on the 0.5 grid.
+	var best graph.Retiming
 	for lo < hi-eps {
 		mid := snapUp(lo + math.Floor((hi-lo)/(2*grid))*grid)
-		ok, cerr := probe(ctx, g, mid, ts)
+		r, ok, cerr := tryPeriod(ctx, sw, mid, ts)
 		if cerr != nil {
 			return nil, 0, cerr
 		}
 		if ok {
-			hi = mid
+			hi, best = mid, r
 		} else {
 			lo = mid + grid
 		}
 	}
-	r, ok, cerr := tryPeriod(ctx, g, hi, ts)
+	if best != nil {
+		return best, hi, nil
+	}
+	r, ok, cerr := tryPeriod(ctx, sw, hi, ts)
 	if cerr != nil {
 		return nil, 0, cerr
 	}
@@ -216,11 +201,6 @@ func minPeriodCtx(ctx context.Context, g *graph.Graph, ts float64) (graph.Retimi
 		return graph.NewRetiming(g), snapUp(crit + ts), nil
 	}
 	return r, hi, nil
-}
-
-func probe(ctx context.Context, g *graph.Graph, phi, ts float64) (bool, error) {
-	_, ok, err := tryPeriod(ctx, g, phi, ts)
-	return ok, err
 }
 
 func snapUp(x float64) float64 { return math.Ceil(x/grid-eps) * grid }
@@ -234,12 +214,13 @@ func snapUp(x float64) float64 { return math.Ceil(x/grid-eps) * grid }
 // structures, in which case ok is false (the caller falls back to
 // MinPeriod, as the paper prescribes).
 func SetupHold(g *graph.Graph, phi, ts, th float64) (graph.Retiming, bool) {
-	r, ok, _ := setupHoldCtx(context.Background(), g, phi, ts, th, telemetry.Nop)
+	r, ok, _ := setupHoldCtx(context.Background(), g.NewSweep(), phi, ts, th, telemetry.Nop)
 	return r, ok
 }
 
-func setupHoldCtx(ctx context.Context, g *graph.Graph, phi, ts, th float64, rec telemetry.Recorder) (graph.Retiming, bool, error) {
-	r, ok, cerr := tryPeriod(ctx, g, phi, ts)
+func setupHoldCtx(ctx context.Context, sw *graph.Sweep, phi, ts, th float64, rec telemetry.Recorder) (graph.Retiming, bool, error) {
+	g := sw.Graph()
+	r, ok, cerr := tryPeriod(ctx, sw, phi, ts)
 	if cerr != nil {
 		return nil, false, cerr
 	}
@@ -253,7 +234,7 @@ func setupHoldCtx(ctx context.Context, g *graph.Graph, phi, ts, th float64, rec 
 		if cerr := guard.CheckpointIn(ctx, "retime.SetupHold", telemetry.PhaseInit.String()); cerr != nil {
 			return nil, false, cerr
 		}
-		arr, _, err := g.ArrivalTimes(r)
+		arr, _, err := sw.Arrivals(r)
 		if err != nil {
 			return nil, false, nil
 		}
@@ -358,12 +339,16 @@ func holdRepair(g *graph.Graph, r graph.Retiming, eid graph.EdgeID) bool {
 // MinPeriodSetupHold finds the smallest period (on the delay grid) for
 // which SetupHold succeeds.
 func MinPeriodSetupHold(g *graph.Graph, ts, th float64) (graph.Retiming, float64, bool) {
-	r, phi, ok, _ := minPeriodSetupHoldCtx(context.Background(), g, ts, th, telemetry.Nop)
+	r, phi, ok, _ := minPeriodSetupHoldCtx(context.Background(), g.NewSweep(), ts, th, telemetry.Nop)
 	return r, phi, ok
 }
 
-func minPeriodSetupHoldCtx(ctx context.Context, g *graph.Graph, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
-	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
+// minPeriodSetupHoldCtx keeps the retiming of the last successful probe:
+// SetupHold is deterministic, so re-solving the final period would only
+// reproduce it.
+func minPeriodSetupHoldCtx(ctx context.Context, sw *graph.Sweep, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
+	g := sw.Graph()
+	_, crit, err := sw.Arrivals(graph.NewRetiming(g))
 	if err != nil {
 		return nil, 0, false, nil
 	}
@@ -372,13 +357,15 @@ func minPeriodSetupHoldCtx(ctx context.Context, g *graph.Graph, ts, th float64, 
 	if lo > hi {
 		lo = hi
 	}
-	if _, ok, cerr := setupHoldCtx(ctx, g, hi, ts, th, rec); cerr != nil {
+	best, ok, cerr := setupHoldCtx(ctx, sw, hi, ts, th, rec)
+	if cerr != nil {
 		return nil, 0, false, cerr
-	} else if !ok {
+	}
+	if !ok {
 		// Try some slack above the unretimed critical path before giving
 		// up: hold repairs may need headroom.
 		hi2 := snapUp(hi * 1.5)
-		if _, ok, cerr := setupHoldCtx(ctx, g, hi2, ts, th, rec); cerr != nil {
+		if best, ok, cerr = setupHoldCtx(ctx, sw, hi2, ts, th, rec); cerr != nil {
 			return nil, 0, false, cerr
 		} else if !ok {
 			return nil, 0, false, nil
@@ -387,18 +374,17 @@ func minPeriodSetupHoldCtx(ctx context.Context, g *graph.Graph, ts, th float64, 
 	}
 	for lo < hi-eps {
 		mid := snapUp(lo + math.Floor((hi-lo)/(2*grid))*grid)
-		_, ok, cerr := setupHoldCtx(ctx, g, mid, ts, th, rec)
+		r, ok, cerr := setupHoldCtx(ctx, sw, mid, ts, th, rec)
 		if cerr != nil {
 			return nil, 0, false, cerr
 		}
 		if ok {
-			hi = mid
+			hi, best = mid, r
 		} else {
 			lo = mid + grid
 		}
 	}
-	r, ok, cerr := setupHoldCtx(ctx, g, hi, ts, th, rec)
-	return r, hi, ok, cerr
+	return best, hi, true, nil
 }
 
 // Options configures Initialize.
@@ -458,17 +444,20 @@ func Initialize(g *graph.Graph, o Options) (*Init, error) {
 func InitializeCtx(ctx context.Context, g *graph.Graph, o Options) (*Init, error) {
 	rec := telemetry.OrNop(o.Recorder)
 	rec.SpanStart(telemetry.PhaseInit)
-	init, err := initializeCtx(ctx, g, o, rec)
+	sw := g.NewSweep()
+	init, err := initializeCtx(ctx, sw, o, rec)
+	rec.Count(telemetry.CounterInitSweeps, int64(sw.Sweeps()))
 	rec.SpanEnd(telemetry.PhaseInit, err)
 	return init, err
 }
 
-func initializeCtx(ctx context.Context, g *graph.Graph, o Options, rec telemetry.Recorder) (*Init, error) {
+func initializeCtx(ctx context.Context, sw *graph.Sweep, o Options, rec telemetry.Recorder) (*Init, error) {
+	g := sw.Graph()
 	if o.Epsilon < 0 {
 		return nil, fmt.Errorf("retime: negative epsilon %g", o.Epsilon)
 	}
 	init := &Init{}
-	r, phi, ok, cerr := minPeriodSetupHoldCtx(ctx, g, o.Ts, o.Th, rec)
+	r, phi, ok, cerr := minPeriodSetupHoldCtx(ctx, sw, o.Ts, o.Th, rec)
 	if cerr != nil {
 		return nil, cerr
 	}
@@ -492,7 +481,7 @@ func initializeCtx(ctx context.Context, g *graph.Graph, o Options, rec telemetry
 		init.Labels = lab
 		return init, nil
 	}
-	r, phi, err := minPeriodCtx(ctx, g, o.Ts)
+	r, phi, err := minPeriodCtx(ctx, sw, o.Ts)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,8 @@ import (
 // FuzzStateMoves drives randomized move sequences over synthetic gen
 // circuits and asserts, after every commit and rollback, that the
 // transactional labels and objective equal from-scratch recomputations.
+// Open transactions are sometimes retargeted to fresh sets, and after
+// every retarget the state must equal a twin that did Rollback and Begin.
 // The fuzzer owns the circuit shape (gate/FF/connection counts) and the
 // move randomness, so it explores region shapes the fixed-seed property
 // tests do not.
@@ -51,10 +53,15 @@ func FuzzStateMoves(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := solverstate.New(g, r0, solverstate.Config{
+		cfg := solverstate.Config{
 			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
 			CheckLabels: true, // every patch is oracle-audited
-		})
+		}
+		st, err := solverstate.New(g, r0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := solverstate.New(g, r0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,10 +70,9 @@ func FuzzStateMoves(f *testing.F) {
 		for step := 0; step < 15; step++ {
 			members := randomMove(rng, g)
 			st.Begin(members, one)
-			tent := shadow.Clone()
-			for _, v := range members {
-				tent[v]--
-			}
+			ref.Begin(members, one)
+			members = retargetChain(t, rng, g, st, ref, members)
+			tent := moveSet(shadow, members)
 			if got, want := st.Objective(), objectiveScan(g, tent, obsInt); got != want {
 				t.Fatalf("step %d: tentative objective %d, scan %d", step, got, want)
 			}
@@ -75,9 +81,11 @@ func FuzzStateMoves(f *testing.F) {
 			}
 			if len(st.NegativeTentativeEdges()) == 0 && rng.Intn(2) == 0 {
 				st.Commit()
+				ref.Commit()
 				shadow = tent
 			} else {
 				st.Rollback()
+				ref.Rollback()
 			}
 			lab, err := st.Labels()
 			if err != nil {

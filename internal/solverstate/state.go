@@ -2,7 +2,9 @@
 // the MinObsWin solver loop (Algorithm 1): the retiming vector, the
 // retimed edge weights w_r, the L/R boundary labels of eq. (6), and the
 // register-observability objective, all kept consistent under a tentative
-// move set I with commit/rollback semantics.
+// move set I with commit/rollback semantics. A discovery cascade keeps one
+// transaction open and retargets it from one tentative set to the next,
+// paying only for the vertices whose move changed.
 //
 // The paper's algorithm is explicitly incremental — every iteration moves
 // one closed set and re-checks P0/P1'/P2' — but a naive implementation
@@ -123,7 +125,8 @@ type labUndo struct {
 	has    bool
 }
 
-// edgeUndo snapshots one edge weight before a move changes it.
+// edgeUndo records the committed weight of an edge the open transaction
+// changed.
 type edgeUndo struct {
 	e  graph.EdgeID
 	wr int32
@@ -156,16 +159,23 @@ type State struct {
 
 	open    bool
 	objTent int64
-	moved   []graph.VertexID
-	delta   []int32 // tentative per-vertex move, 0 outside I
+	moved   []graph.VertexID // vertices with delta != 0
+	next    []graph.VertexID // Retarget's build buffer for the next moved list
+	changed []graph.VertexID // vertices whose delta the last diff changed
+	delta   []int32          // tentative per-vertex move, 0 outside I
 
-	edgeMark  []uint32 // epoch stamps deduplicating incident edges
-	epoch     uint32
+	vertexMark []uint32 // epoch stamps of the members being applied
+	edgeMark   []uint32 // epoch stamps deduplicating incident edges
+	epoch      uint32
+	edgeTxn    []uint32 // txn stamps: the edge has an undo entry this transaction
+	txn        uint32
+	// edgeUndos holds one entry per edge changed during the transaction,
+	// logged at its first change, so wr is the committed weight.
 	edgeUndos []edgeUndo
 
-	seeds    []graph.VertexID // sources of reclassified label-relevant edges
-	negEdges []graph.EdgeID   // changed edges with tentative w_r < 0, sorted
-	labelNeg bool             // some non-host changed edge went negative
+	seeds    []graph.VertexID // Labels' buffer: sources of reclassified edges
+	negEdges []graph.EdgeID   // edges with tentative w_r < 0, sorted
+	negNext  []graph.EdgeID   // retarget's merge buffer for negEdges
 
 	lab      *elw.Labels
 	labMode  labState
@@ -201,7 +211,9 @@ func New(g *graph.Graph, r0 graph.Retiming, cfg Config) (*State, error) {
 		wr:             g.EdgeWeights(r0),
 		vertexObsDelta: make([]int64, g.NumVertices()),
 		delta:          make([]int32, g.NumVertices()),
+		vertexMark:     make([]uint32, g.NumVertices()),
 		edgeMark:       make([]uint32, g.NumEdges()),
+		edgeTxn:        make([]uint32, g.NumEdges()),
 		walker:         graph.NewRegionWalker(g),
 
 		defaultThreshold: defaultThreshold,
@@ -238,8 +250,8 @@ func (s *State) R() graph.Retiming {
 func (s *State) WR(e graph.EdgeID) int32 { return s.wr[e] }
 
 // EdgeWeights returns the current per-edge weights, indexed by EdgeID.
-// The slice is live — it changes with Begin/Commit/Rollback — and must
-// not be modified.
+// The slice is live — it changes with Begin/Retarget/Commit/Rollback —
+// and must not be modified.
 func (s *State) EdgeWeights() []int32 { return s.wr }
 
 // Objective returns Σ obsInt·w_r of the current (tentative) state.
@@ -256,62 +268,167 @@ func (s *State) NegativeTentativeEdges() []graph.EdgeID { return s.negEdges }
 
 // Begin opens a transaction moving each vertex of members forward by
 // weight(v) registers: r(v) -= weight(v). It updates the edge weights and
-// objective immediately and analyzes the changed edges for the later
-// label patch (Labels is lazy: the P0-only path never touches labels).
+// objective immediately; the label patch is lazy (Labels), so the P0-only
+// path never touches labels. Begin is Retarget from the empty move.
 func (s *State) Begin(members []int32, weight func(v int32) int32) {
 	if s.open {
 		panic("solverstate: Begin with open transaction")
 	}
 	s.open = true
-	s.labMode = labNone
-	for _, v := range members {
-		d := weight(v)
-		if d == 0 || graph.VertexID(v) == graph.Host {
+	if s.txn++; s.txn == 0 {
+		clear(s.edgeTxn)
+		s.txn = 1
+	}
+	s.retarget(members, weight)
+}
+
+// Retarget moves the open transaction to a new tentative set: afterwards
+// the state equals Rollback followed by Begin(members, weight), but only
+// the vertices whose tentative move changed, and their incident edges,
+// are touched. Labels patched or recomputed for the previous set are
+// restored to the committed ones first.
+func (s *State) Retarget(members []int32, weight func(v int32) int32) {
+	if !s.open {
+		panic("solverstate: Retarget without transaction")
+	}
+	s.restoreLabels()
+	s.retarget(members, weight)
+}
+
+// retarget is the one diff routine behind Begin and Retarget. It stamps
+// the new members, applies every changed per-vertex move to r and the
+// objective, then recomputes w_r on the incident edges of the changed
+// vertices and keeps the sorted negative-edge list current.
+func (s *State) retarget(members []int32, weight func(v int32) int32) {
+	if s.epoch++; s.epoch == 0 {
+		clear(s.vertexMark)
+		clear(s.edgeMark)
+		s.epoch = 1
+	}
+	s.changed = s.changed[:0]
+	next := s.next[:0]
+	for _, m := range members {
+		v := graph.VertexID(m)
+		d := weight(m)
+		if d == 0 || v == graph.Host || s.vertexMark[v] == s.epoch {
 			continue
 		}
-		s.delta[v] = -d
-		s.r[v] -= d
-		s.moved = append(s.moved, graph.VertexID(v))
-		s.objTent -= int64(d) * s.vertexObsDelta[v]
+		s.vertexMark[v] = s.epoch
+		next = append(next, v)
+		s.setDelta(v, -d)
 	}
-	s.epoch++
 	for _, v := range s.moved {
+		if s.vertexMark[v] != s.epoch {
+			s.setDelta(v, 0) // left the set
+		}
+	}
+	s.moved, s.next = next, s.moved
+	s.rec.Count(telemetry.CounterMoveVertices, int64(len(s.changed)))
+
+	kept, dropped := len(s.negEdges), false
+	for _, v := range s.changed {
 		for _, dir := range [2][]graph.EdgeID{s.g.Out(v), s.g.In(v)} {
 			for _, eid := range dir {
 				if s.edgeMark[eid] == s.epoch {
 					continue
 				}
 				s.edgeMark[eid] = s.epoch
-				eFrom, eTo := s.g.EdgeFrom(eid), s.g.EdgeTo(eid)
-				dw := s.delta[eTo] - s.delta[eFrom]
-				if dw == 0 {
-					continue
-				}
 				wrOld := s.wr[eid]
-				wrNew := wrOld + dw
-				s.edgeUndos = append(s.edgeUndos, edgeUndo{e: eid, wr: wrOld})
-				s.wr[eid] = wrNew
-				if wrNew < 0 {
-					s.negEdges = append(s.negEdges, eid)
-				}
-				if eFrom == graph.Host || eTo == graph.Host {
-					// Host-incident edges never affect labels: edges into
-					// the host are registered regardless of weight, edges
-					// out of it are never read (the host has no labels).
+				wrNew := s.g.EdgeW(eid) + s.r[s.g.EdgeTo(eid)] - s.r[s.g.EdgeFrom(eid)]
+				if wrNew == wrOld {
 					continue
 				}
-				if wrNew < 0 {
-					s.labelNeg = true
+				if s.edgeTxn[eid] != s.txn {
+					s.edgeTxn[eid] = s.txn
+					s.edgeUndos = append(s.edgeUndos, edgeUndo{e: eid, wr: wrOld})
 				}
-				if (wrOld > 0) != (wrNew > 0) {
-					// Classification flip: the source vertex now sees a
-					// different kind of fanout.
-					s.seeds = append(s.seeds, eFrom)
+				s.wr[eid] = wrNew
+				if wrNew < 0 && wrOld >= 0 {
+					s.negEdges = append(s.negEdges, eid)
+				} else if wrOld < 0 && wrNew >= 0 {
+					dropped = true
 				}
 			}
 		}
 	}
-	slices.Sort(s.negEdges)
+	if dropped || kept < len(s.negEdges) {
+		s.mergeNegatives(kept)
+	}
+}
+
+// mergeNegatives rebuilds the sorted negative-edge list from its sorted
+// prefix negEdges[:kept] (the previous list, minus the edges no longer
+// negative) and the newly negative edges appended after it.
+func (s *State) mergeNegatives(kept int) {
+	old, added := s.negEdges[:kept], s.negEdges[kept:]
+	slices.Sort(added)
+	out := s.negNext[:0]
+	for _, e := range old {
+		if s.wr[e] >= 0 {
+			continue
+		}
+		for len(added) > 0 && added[0] < e {
+			out = append(out, added[0])
+			added = added[1:]
+		}
+		out = append(out, e)
+	}
+	out = append(out, added...)
+	s.negEdges, s.negNext = out, s.negEdges
+}
+
+// setDelta changes v's tentative move to nd, updating r and the
+// objective, and records v as changed.
+func (s *State) setDelta(v graph.VertexID, nd int32) {
+	od := s.delta[v]
+	if nd == od {
+		return
+	}
+	s.delta[v] = nd
+	s.r[v] += nd - od
+	s.objTent += int64(nd-od) * s.vertexObsDelta[v]
+	s.changed = append(s.changed, v)
+}
+
+// labelSeeds derives the label patch's inputs from the undo log by
+// comparing each changed edge's committed weight with its current one:
+// the sources of non-host edges whose classification (w_r > 0 or not)
+// flipped, and whether some changed non-host edge is negative. Edges a
+// retarget moved back to their committed weight are unchanged.
+func (s *State) labelSeeds() (seeds []graph.VertexID, neg bool) {
+	seeds = s.seeds[:0]
+	for _, u := range s.edgeUndos {
+		wrNew := s.wr[u.e]
+		if wrNew == u.wr {
+			continue
+		}
+		eFrom, eTo := s.g.EdgeFrom(u.e), s.g.EdgeTo(u.e)
+		if eFrom == graph.Host || eTo == graph.Host {
+			// Host-incident edges never affect labels: edges into the host
+			// are registered regardless of weight, edges out of it are
+			// never read (the host has no labels).
+			continue
+		}
+		if wrNew < 0 {
+			neg = true
+		}
+		if (u.wr > 0) != (wrNew > 0) {
+			seeds = append(seeds, eFrom)
+		}
+	}
+	s.seeds = seeds
+	return seeds, neg
+}
+
+// weightsChanged reports whether some edge differs from its committed
+// weight.
+func (s *State) weightsChanged() bool {
+	for _, u := range s.edgeUndos {
+		if s.wr[u.e] != u.wr {
+			return true
+		}
+	}
+	return false
 }
 
 // Labels returns the L/R labels of the current (tentative) state,
@@ -344,7 +461,11 @@ func (s *State) Labels() (*elw.Labels, error) {
 		s.lab, s.labMode = lab, labFull
 		return s.lab, nil
 	}
-	if s.cfg.FullRecompute || s.labelNeg {
+	if s.cfg.FullRecompute {
+		return s.fallbackFull()
+	}
+	seeds, neg := s.labelSeeds()
+	if neg {
 		return s.fallbackFull()
 	}
 	gates := s.g.NumGates()
@@ -355,7 +476,7 @@ func (s *State) Labels() (*elw.Labels, error) {
 	if limit < 1 {
 		limit = 1
 	}
-	if !s.walker.Collect(s.wr, s.seeds, limit) {
+	if !s.walker.Collect(s.wr, seeds, limit) {
 		s.rec.Gauge(telemetry.GaugeDirtyFraction, permille(limit+1, gates))
 		return s.fallbackFull()
 	}
@@ -428,7 +549,7 @@ func (s *State) Commit() {
 		panic("solverstate: Commit without transaction")
 	}
 	s.obj = s.objTent
-	if s.labMode == labNone && len(s.edgeUndos) > 0 && s.lab != nil {
+	if s.labMode == labNone && s.lab != nil && s.weightsChanged() {
 		// The move changed weights but the labels were never requested:
 		// the cached labels describe the pre-move state and must go.
 		s.lab = nil
@@ -442,13 +563,21 @@ func (s *State) Rollback() {
 	if !s.open {
 		panic("solverstate: Rollback without transaction")
 	}
-	for i := len(s.edgeUndos) - 1; i >= 0; i-- {
-		s.wr[s.edgeUndos[i].e] = s.edgeUndos[i].wr
+	for _, u := range s.edgeUndos {
+		s.wr[u.e] = u.wr
 	}
 	for _, v := range s.moved {
 		s.r[v] -= s.delta[v]
 	}
 	s.objTent = s.obj
+	s.restoreLabels()
+	s.closeTxn()
+}
+
+// restoreLabels undoes what the open transaction did to the labels: a
+// patch is reverted from its undo log, a full recompute by reinstating
+// the saved committed labels.
+func (s *State) restoreLabels() {
 	switch s.labMode {
 	case labPatched:
 		for i := len(s.labUndos) - 1; i >= 0; i-- {
@@ -460,7 +589,8 @@ func (s *State) Rollback() {
 	case labFull:
 		s.lab, s.labPrev = s.labPrev, nil
 	}
-	s.closeTxn()
+	s.labUndos = s.labUndos[:0]
+	s.labMode = labNone
 }
 
 func (s *State) closeTxn() {
@@ -470,9 +600,7 @@ func (s *State) closeTxn() {
 	s.moved = s.moved[:0]
 	s.edgeUndos = s.edgeUndos[:0]
 	s.labUndos = s.labUndos[:0]
-	s.seeds = s.seeds[:0]
 	s.negEdges = s.negEdges[:0]
-	s.labelNeg = false
 	s.labMode = labNone
 	s.open = false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"serretime/internal/elw"
@@ -85,10 +86,63 @@ func randomMove(rng *rand.Rand, g *graph.Graph) []int32 {
 
 func one(int32) int32 { return 1 }
 
+// moveSet returns the committed retiming with members moved forward by one.
+func moveSet(committed graph.Retiming, members []int32) graph.Retiming {
+	tent := committed.Clone()
+	for _, v := range members {
+		tent[v]--
+	}
+	return tent
+}
+
+// sameTentative compares a retargeted state with ref, which reached the
+// same tentative set by Rollback and Begin: objective, edge weights,
+// negative edges and labels must all be equal.
+func sameTentative(t *testing.T, st, ref *solverstate.State) {
+	t.Helper()
+	if got, want := st.Objective(), ref.Objective(); got != want {
+		t.Fatalf("retarget objective %d, rollback+begin %d", got, want)
+	}
+	if !slices.Equal(st.EdgeWeights(), ref.EdgeWeights()) {
+		t.Fatalf("retarget weights %v, rollback+begin %v", st.EdgeWeights(), ref.EdgeWeights())
+	}
+	if got, want := st.NegativeTentativeEdges(), ref.NegativeTentativeEdges(); !slices.Equal(got, want) {
+		t.Fatalf("retarget negatives %v, rollback+begin %v", got, want)
+	}
+	got, err := st.Labels()
+	if err != nil {
+		t.Fatalf("retarget labels: %v", err)
+	}
+	want, err := ref.Labels()
+	if err != nil {
+		t.Fatalf("rollback+begin labels: %v", err)
+	}
+	if v, diff := got.FirstDiff(want); diff {
+		t.Fatalf("retarget labels diverge at v%d", v)
+	}
+}
+
+// retargetChain moves the open transaction of st through a random number
+// of fresh random sets, mirroring each on ref by Rollback and Begin, and
+// returns the last set.
+func retargetChain(t *testing.T, rng *rand.Rand, g *graph.Graph, st, ref *solverstate.State, members []int32) []int32 {
+	t.Helper()
+	for rng.Intn(2) == 0 {
+		members = randomMove(rng, g)
+		st.Retarget(members, one)
+		ref.Rollback()
+		ref.Begin(members, one)
+		sameTentative(t, st, ref)
+	}
+	return members
+}
+
 // TestStateMatchesOracles drives random move sequences and checks, after
 // every Begin, that the incremental objective, negative-edge list and L/R
 // labels all agree with from-scratch recomputations, and that rollbacks
-// restore the committed state bit-exactly.
+// restore the committed state bit-exactly. Some transactions are
+// retargeted to fresh sets before they close; after every retarget the
+// state must equal a twin that reached the same set by Rollback and Begin.
 func TestStateMatchesOracles(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -98,9 +152,12 @@ func TestStateMatchesOracles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-		})
+		cfg := solverstate.Config{Params: params, ObsInt: obsInt, SeedLabels: seedLab}
+		st, err := solverstate.New(g, r0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := solverstate.New(g, r0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,10 +165,9 @@ func TestStateMatchesOracles(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			members := randomMove(rng, g)
 			st.Begin(members, one)
-			tent := shadow.Clone()
-			for _, v := range members {
-				tent[v]--
-			}
+			ref.Begin(members, one)
+			members = retargetChain(t, rng, g, st, ref, members)
+			tent := moveSet(shadow, members)
 			if got, want := st.Objective(), objectiveScan(g, tent, obsInt); got != want {
 				t.Fatalf("seed %d step %d: tentative objective %d, scan %d", seed, step, got, want)
 			}
@@ -150,9 +206,11 @@ func TestStateMatchesOracles(t *testing.T) {
 			// P0 before committing for the same reason).
 			if legal && rng.Intn(2) == 0 {
 				st.Commit()
+				ref.Commit()
 				shadow = tent
 			} else {
 				st.Rollback()
+				ref.Rollback()
 			}
 			if got, want := st.CommittedObjective(), objectiveScan(g, shadow, obsInt); got != want {
 				t.Fatalf("seed %d step %d: committed objective %d, scan %d", seed, step, got, want)
@@ -411,6 +469,11 @@ func TestCommitDropsStaleLabels(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		members := randomMove(rng2, g)
 		st.Begin(members, one) // P0-only path: no Labels call
+		if step%2 == 1 {
+			// A retargeted move commits the same way.
+			members = randomMove(rng2, g)
+			st.Retarget(members, one)
+		}
 		if len(st.NegativeTentativeEdges()) > 0 {
 			st.Rollback()
 			continue
@@ -448,6 +511,7 @@ func TestTxnStateMachine(t *testing.T) {
 	}
 	mustPanic("Commit-closed", st.Commit)
 	mustPanic("Rollback-closed", st.Rollback)
+	mustPanic("Retarget-closed", func() { st.Retarget([]int32{1}, one) })
 	st.Begin([]int32{1}, one)
 	mustPanic("Begin-open", func() { st.Begin([]int32{1}, one) })
 	mustPanic("R-open", func() { st.R() })

@@ -214,6 +214,13 @@ const (
 	// CounterParWallNanos accumulates the wall-clock nanoseconds spent
 	// inside parallel sections (fork to join).
 	CounterParWallNanos
+	// CounterMoveVertices counts the vertices whose tentative move a
+	// solver-state Begin or Retarget changed: the work of applying the
+	// discovery cascade's tentative closed sets.
+	CounterMoveVertices
+	// CounterInitSweeps counts the arrival and reverse-arrival timing
+	// sweeps of one Section V initialization.
+	CounterInitSweeps
 
 	// NumCounters bounds the enum; not a counter.
 	NumCounters
@@ -241,6 +248,8 @@ var counterNames = [NumCounters]string{
 	CounterParShards:       "par-shards",
 	CounterParBusyNanos:    "par-busy-ns",
 	CounterParWallNanos:    "par-wall-ns",
+	CounterMoveVertices:    "move-vertices",
+	CounterInitSweeps:      "init-sweeps",
 }
 
 // String returns the counter's trace name (constant; never allocates).

@@ -159,6 +159,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.SpanStart(PhaseELWRecompute)
 	tr.Count(CounterELWRecomputes, 1)
 	tr.SpanEnd(PhaseELWRecompute, nil)
+	tr.Count(CounterInitSweeps, 40)
 	time.Sleep(time.Millisecond)
 	tr.SpanEnd(PhaseInit, nil)
 	tr.SpanStart(PhaseMinimize)
@@ -167,6 +168,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ { // merged level-2 spans accumulate counters
 		tr.SpanStart(PhaseFindViolations)
 		tr.Count(CounterSteps, 1)
+		tr.Count(CounterMoveVertices, 5)
 		tr.SpanStart(PhaseELWRecompute)
 		tr.Count(CounterELWRecomputes, 1)
 		tr.SpanEnd(PhaseELWRecompute, nil)
@@ -218,6 +220,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for c, want := range map[Counter]int64{
 		CounterSteps: 3, CounterCommits: 2, CounterELWRecomputes: 4,
 		CounterSeedArcs: 12, CounterClosureRebuilds: 2, CounterTierTransitions: 1,
+		CounterMoveVertices: 15, CounterInitSweeps: 40,
 	} {
 		if got := s.Counter(c); got != want {
 			t.Errorf("%s = %d, want %d", c, got, want)
