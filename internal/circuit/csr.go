@@ -34,12 +34,19 @@ type CSR struct {
 	Fanout      []NodeID
 
 	// Order is the combinational topological order of all nodes (the
-	// TopoOrder result); RevOrder is Order reversed (the backward-pass
-	// order of the ODC analysis); GateOrder is the KindGate subsequence of
-	// Order (the forward evaluation order with source nodes skipped).
+	// TopoOrder result); GateOrder is the KindGate subsequence of Order
+	// (the forward evaluation order with source nodes skipped; the ODC
+	// analysis walks it backwards).
 	Order     []NodeID
-	RevOrder  []NodeID
 	GateOrder []NodeID
+	// Pos is the inverse of Order: Order[Pos[n]] == n.
+	Pos []int32
+
+	// RepeatedFanin marks the gates that read one net on more than one
+	// input pin (e.g. XOR(x, x)). Flipping such a net flips every copy, so
+	// the ODC pass evaluates those gates exactly instead of by the
+	// single-pin sensitivity closed forms.
+	RepeatedFanin []bool
 
 	// PIs and POs are the primary inputs/outputs in declaration order;
 	// IsPO is the PO membership mask.
@@ -81,6 +88,7 @@ func (c *Circuit) CSR() (*CSR, error) {
 		Fn:    make([]Func, n),
 		Level: make([]int32, n),
 		Order: order,
+		Pos:   make([]int32, n),
 		IsPO:  make([]bool, n),
 		PIs:   append([]NodeID(nil), c.pis...),
 		POs:   append([]NodeID(nil), c.pos...),
@@ -107,10 +115,9 @@ func (c *Circuit) CSR() (*CSR, error) {
 			gates++
 		}
 	}
-	s.RevOrder = make([]NodeID, n)
 	s.GateOrder = make([]NodeID, 0, gates)
 	for i, id := range order {
-		s.RevOrder[n-1-i] = id
+		s.Pos[id] = int32(i)
 		if s.Kind[id] == KindGate {
 			s.GateOrder = append(s.GateOrder, id)
 			var lvl int32
@@ -124,6 +131,20 @@ func (c *Circuit) CSR() (*CSR, error) {
 	}
 	for _, po := range c.pos {
 		s.IsPO[po] = true
+	}
+	// Repeated pins, found with a per-gate epoch mark (the gate index + 1),
+	// the same dedup TopoOrder uses.
+	s.RepeatedFanin = make([]bool, n)
+	mark := make([]int32, n)
+	for i := range c.nodes {
+		epoch := int32(i) + 1
+		for _, f := range c.nodes[i].Fanin {
+			if mark[f] == epoch {
+				s.RepeatedFanin[i] = true
+				break
+			}
+			mark[f] = epoch
+		}
 	}
 	c.csr = s
 	return s, nil

@@ -70,8 +70,8 @@ func TestCSRMirrorsNodes(t *testing.T) {
 		if s.Order[i] != id {
 			t.Fatalf("order[%d] = %d, want %d", i, s.Order[i], id)
 		}
-		if s.RevOrder[len(order)-1-i] != id {
-			t.Fatalf("rev order mismatch at %d", i)
+		if s.Pos[id] != int32(i) {
+			t.Fatalf("pos[%d] = %d, want %d", id, s.Pos[id], i)
 		}
 		if s.Kind[id] == KindGate {
 			if s.GateOrder[gates] != id {
@@ -86,6 +86,34 @@ func TestCSRMirrorsNodes(t *testing.T) {
 	for _, po := range c.POs() {
 		if !s.IsPO[po] {
 			t.Fatalf("PO %d not flagged", po)
+		}
+	}
+}
+
+// TestCSRRepeatedFanin: only a gate reading one net on two pins is
+// flagged, wherever the repeated pins sit in its pin list.
+func TestCSRRepeatedFanin(t *testing.T) {
+	b := NewBuilder("rep")
+	b.PI("a")
+	b.PI("b")
+	b.Gate("x", FnXor, "a", "a")
+	b.Gate("y", FnAnd, "a", "b", "a")
+	b.Gate("z", FnOr, "a", "b")
+	b.Gate("o", FnNand, "x", "y", "z")
+	b.PO("o")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"x": true, "y": true}
+	for id := 0; id < s.N; id++ {
+		name := c.Node(NodeID(id)).Name
+		if s.RepeatedFanin[id] != want[name] {
+			t.Errorf("RepeatedFanin[%s] = %t, want %t", name, s.RepeatedFanin[id], want[name])
 		}
 	}
 }

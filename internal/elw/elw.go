@@ -52,6 +52,10 @@ func (p Params) LatchWindow() interval.Set {
 // empty set. maxIntervals caps the interval count per set (0 = unlimited);
 // when exceeded, the smallest gaps are coalesced, which soundly
 // over-approximates the window.
+//
+// Each vertex's window is accumulated in one reused scratch set by linear
+// merges that shift the successor windows on the fly, then copied into an
+// arena shared by all the returned sets.
 func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]interval.Set, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -62,9 +66,11 @@ func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]inte
 	}
 	base := p.LatchWindow()
 	out := make([]interval.Set, g.NumVertices())
+	arena := interval.NewArena(2 * g.NumVertices())
+	var s interval.Set
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
-		var s interval.Set
+		s.Reset()
 		for _, eid := range g.Out(u) {
 			to := g.EdgeTo(eid)
 			if to == graph.Host || g.WR(eid, r) > 0 {
@@ -73,34 +79,14 @@ func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]inte
 				s.UnionInPlace(base)
 				continue
 			}
-			s.UnionInPlace(out[to].Shift(-g.Delay(to)))
+			s.UnionShiftedInPlace(out[to], -g.Delay(to))
 		}
 		if maxIntervals > 0 && s.Count() > maxIntervals {
-			s = coalesce(s, maxIntervals)
+			s.Coalesce(maxIntervals)
 		}
-		out[u] = s
+		out[u] = arena.Copy(s)
 	}
 	return out, nil
-}
-
-// coalesce merges the smallest gaps of s until at most max intervals
-// remain. The result contains s (sound over-approximation).
-func coalesce(s interval.Set, max int) interval.Set {
-	ivs := s.Intervals()
-	for len(ivs) > max {
-		// Find the smallest gap.
-		best := 1
-		bestGap := ivs[1].L - ivs[0].R
-		for i := 2; i < len(ivs); i++ {
-			if gap := ivs[i].L - ivs[i-1].R; gap < bestGap {
-				bestGap = gap
-				best = i
-			}
-		}
-		ivs[best-1].R = ivs[best].R
-		ivs = append(ivs[:best], ivs[best+1:]...)
-	}
-	return interval.MustNew(ivs...)
 }
 
 // RegisterWindows returns, for every edge with w_r > 0, the ELWs of the

@@ -7,8 +7,10 @@
 package interval
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -83,7 +85,7 @@ func (s *Set) normalize() {
 	if len(s.ivs) <= 1 {
 		return
 	}
-	sort.Slice(s.ivs, func(i, j int) bool { return s.ivs[i].L < s.ivs[j].L })
+	slices.SortFunc(s.ivs, func(a, b Interval) int { return cmp.Compare(a.L, b.L) })
 	out := s.ivs[:1]
 	for _, iv := range s.ivs[1:] {
 		last := &out[len(out)-1]
@@ -150,20 +152,134 @@ func (s Set) Union(o Set) Set {
 	if o.Empty() {
 		return s.clone()
 	}
-	u := Set{ivs: make([]Interval, 0, len(s.ivs)+len(o.ivs))}
-	u.ivs = append(u.ivs, s.ivs...)
-	u.ivs = append(u.ivs, o.ivs...)
-	u.normalize()
+	u := Set{ivs: make([]Interval, len(s.ivs), len(s.ivs)+len(o.ivs))}
+	copy(u.ivs, s.ivs)
+	u.merge(o.ivs, 0, false)
 	return u
 }
 
 // UnionInPlace merges o into s, reusing s's storage where possible.
 func (s *Set) UnionInPlace(o Set) {
-	if o.Empty() {
+	s.merge(o.ivs, 0, false)
+}
+
+// UnionShiftedInPlace merges o translated by delta into s, reusing s's
+// storage where possible: s ∪ o.Shift(delta) without materializing the
+// shifted copy. Each endpoint of o is shifted with the same L+delta and
+// R+delta expressions Shift uses, so the result is bit-identical. It is
+// the ELW(f) − d(f) union step of eq. (3).
+func (s *Set) UnionShiftedInPlace(o Set, delta float64) {
+	s.merge(o.ivs, delta, true)
+}
+
+// merge unions the sorted interval list b (translated by delta when
+// shift is set) into s in one linear pass. s is normalized; b is sorted
+// by both endpoints but, after a rounded shift, its neighbours may touch
+// or coincide, so the pass merges within b as well.
+//
+// The merge runs from the right end of both lists into the tail of s's
+// grown storage, taking the interval with the larger R first and folding
+// it into the open group while it reaches the group's left end (touching
+// counts, as in normalize). This is normalize mirrored: both compute the
+// connected components of the union, each as [min L, max R] of exact
+// copies of the input endpoints, so the result is the set normalize gives
+// the concatenation. The write cursor always stays right of the unread
+// part of s, so no scratch list is needed.
+func (s *Set) merge(b []Interval, delta float64, shift bool) {
+	m := len(b)
+	if m == 0 {
 		return
 	}
-	s.ivs = append(s.ivs, o.ivs...)
-	s.normalize()
+	n := len(s.ivs)
+	s.ivs = slices.Grow(s.ivs, m)[:n+m]
+	a := s.ivs
+	i, j, w := n-1, m-1, n+m
+	var cur Interval
+	open := false
+	for i >= 0 || j >= 0 {
+		var iv Interval
+		if j >= 0 {
+			iv = b[j]
+			if shift {
+				iv = iv.Shift(delta)
+			}
+		}
+		if j < 0 || (i >= 0 && a[i].R >= iv.R) {
+			iv = a[i]
+			i--
+		} else {
+			j--
+		}
+		switch {
+		case !open:
+			cur, open = iv, true
+		case iv.R >= cur.L:
+			if iv.L < cur.L {
+				cur.L = iv.L
+			}
+		default:
+			w--
+			a[w] = cur
+			cur = iv
+		}
+	}
+	w--
+	a[w] = cur
+	s.ivs = a[:copy(a, a[w:])]
+}
+
+// Coalesce merges the smallest gaps of s, in place, until at most limit
+// intervals remain (ties: the leftmost gap). The result contains s, so it
+// soundly over-approximates the set; limit < 1 leaves s unchanged.
+func (s *Set) Coalesce(limit int) {
+	if limit < 1 {
+		return
+	}
+	ivs := s.ivs
+	for len(ivs) > limit {
+		best := 1
+		bestGap := ivs[1].L - ivs[0].R
+		for i := 2; i < len(ivs); i++ {
+			if gap := ivs[i].L - ivs[i-1].R; gap < bestGap {
+				bestGap = gap
+				best = i
+			}
+		}
+		ivs[best-1].R = ivs[best].R
+		ivs = append(ivs[:best], ivs[best+1:]...)
+	}
+	s.ivs = ivs
+}
+
+// Reset empties s and keeps its storage for reuse as an accumulator.
+func (s *Set) Reset() { s.ivs = s.ivs[:0] }
+
+// Arena hands out the interval storage of many Sets from shared slabs: a
+// pass that keeps one set per vertex allocates a few slabs instead of one
+// slice per set. Copies are capacity-capped, so growing one set (a later
+// UnionInPlace) reallocates it instead of writing into a neighbour. The
+// zero value is ready to use.
+type Arena struct {
+	slab []Interval
+}
+
+// NewArena returns an arena whose first slab holds hint intervals.
+func NewArena(hint int) *Arena {
+	return &Arena{slab: make([]Interval, 0, hint)}
+}
+
+// Copy returns a copy of s whose intervals live in the arena.
+func (a *Arena) Copy(s Set) Set {
+	n := len(s.ivs)
+	if n == 0 {
+		return Set{}
+	}
+	if cap(a.slab)-len(a.slab) < n {
+		a.slab = make([]Interval, 0, max(2*cap(a.slab), n, 64))
+	}
+	lo := len(a.slab)
+	a.slab = append(a.slab, s.ivs...)
+	return Set{ivs: a.slab[lo:len(a.slab):len(a.slab)]}
 }
 
 // Shift returns the set translated by delta (the ELW(f) - d(f) operation

@@ -9,17 +9,20 @@
 // an error injected at g in frame 0 may surface at a primary output of any
 // later frame; the mask is the union of all those observation events.
 //
-// The backward pass is sharded across signature words (DESIGN.md §11):
-// within one word column the reverse topological order guarantees a node's
-// fanouts are finished before the node itself, and word columns never read
-// each other, so the masks are bit-identical for every worker count. The
-// pass walks the circuit's CSR view (DESIGN.md §15): packed fanout arrays,
-// the cached reverse order, and the trace's flat signature planes.
+// The backward pass is in push form: it walks the reverse topological
+// order, and when it reaches a gate, whose mask is then final, it ORs the
+// gate's mask, ANDed with each input pin's flip sensitivity, into that
+// fanin's mask (DESIGN.md §5.1). The pass is sharded across signature
+// words (DESIGN.md §11); word columns never read each other, so the masks
+// are bit-identical for every worker count. It walks the circuit's CSR
+// view (DESIGN.md §15): packed fanin arrays, the cached gate order (read
+// backwards) and order positions, and the trace's flat signature planes.
 package obs
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"serretime/internal/circuit"
 	"serretime/internal/par"
@@ -94,59 +97,46 @@ func ComputeCtx(ctx context.Context, tr *sim.Trace, opt Options) (*Result, error
 	var result *Result
 	for f := tr.Frames - 1; f >= opt.Frame; f-- {
 		clear(odcCur)
-		// Shard the backward pass across word columns. For a fixed word,
-		// when node x reads odcCur of a gate fanout y, y is later in topo
-		// order, hence earlier in rev order, hence already final — the same
-		// dependency argument as the sequential pass, per column.
+		// Push form, sharded across word columns. Every node's own
+		// observation terms go in first: all ones at a PO, and at the
+		// driver of each DFF the mask the flip has at the DFF's output in
+		// frame f+1 (or the last-frame register policy). Then the gates
+		// are walked in reverse topological order. A gate reader z
+		// pushes into y only when z comes after y in that order
+		// (odcReaches), so every push into y lands before the walk
+		// reaches y; y's mask is final there and y pushes into its own
+		// fanins. Word columns never read each other, so every worker
+		// count gives the same bits.
 		plane := tr.Plane(f)
 		lastFrame := f == tr.Frames-1
 		err := pool.Run(ctx, w, func(worker, lo, hi int) error {
-			in := make([]uint64, 0, 8)
-			// evalFlip recomputes gate y with fanin x complemented, reading
-			// the clean values straight off the frame's signature plane.
-			evalFlip := func(y circuit.NodeID, x circuit.NodeID, word int) uint64 {
-				in = in[:0]
-				for _, fid := range csr.FaninOf(y) {
-					v := plane[int(fid)*w+word]
-					if fid == x {
-						v = ^v
-					}
-					in = append(in, v)
+			for z := 0; z < n; z++ {
+				if csr.Kind[z] != circuit.KindDFF {
+					continue
 				}
-				return csr.Fn[y].Eval(in)
-			}
-			for _, x := range csr.RevOrder {
-				base := int(x) * w
-				dst := odcCur[base : base+w]
-				if csr.IsPO[x] {
+				ybase := int(csr.Fanin[csr.FaninStart[z]]) * w
+				switch {
+				case !lastFrame:
+					zbase := z * w
 					for i := lo; i < hi; i++ {
-						dst[i] = ^uint64(0)
+						odcCur[ybase+i] |= odcNext[zbase+i]
+					}
+				case !opt.DropFinalRegisters:
+					for i := lo; i < hi; i++ {
+						odcCur[ybase+i] = ^uint64(0)
 					}
 				}
-				for _, y := range csr.FanoutOf(x) {
-					ybase := int(y) * w
-					switch csr.Kind[y] {
-					case circuit.KindDFF:
-						// The flip is stored and surfaces at the DFF's
-						// output in frame f+1.
-						if lastFrame {
-							if !opt.DropFinalRegisters {
-								for i := lo; i < hi; i++ {
-									dst[i] = ^uint64(0)
-								}
-							}
-							continue
-						}
-						for i := lo; i < hi; i++ {
-							dst[i] |= odcNext[ybase+i]
-						}
-					case circuit.KindGate:
-						for i := lo; i < hi; i++ {
-							local := evalFlip(y, x, i) ^ plane[ybase+i]
-							dst[i] |= local & odcCur[ybase+i]
-						}
-					}
+			}
+			for _, y := range csr.POs {
+				ybase := int(y) * w
+				for i := lo; i < hi; i++ {
+					odcCur[ybase+i] = ^uint64(0)
 				}
+			}
+			var scratch [64]uint64
+			buf := scratch[:0]
+			for k := len(csr.GateOrder) - 1; k >= 0; k-- {
+				buf = pushGate(csr, plane, odcCur, csr.GateOrder[k], w, lo, hi, buf)
 			}
 			return nil
 		})
@@ -164,4 +154,130 @@ func ComputeCtx(ctx context.Context, tr *sim.Trace, opt Options) (*Result, error
 		odcCur, odcNext = odcNext, odcCur
 	}
 	return result, nil
+}
+
+// odcReaches reports whether gate y's final ODC mask reaches its fanin x.
+//
+// It reproduces a defect of the original pull-form pass, which read
+// odcCur[y] while visiting x and assumed y was already final because it is
+// "later in topological order". That holds for gate fanins, but not for
+// sources: TopoOrder queues gates whose inputs are all PIs or DFFs in
+// node-ID order, mixed in with the sources themselves, so a source x can
+// sit after its reader y in Order. The pull pass then read y's still-empty
+// mask and the edge contributed nothing; this predicate drops the same
+// edges. Deleting it (always true) is the fix, and it changes answers
+// (DESIGN.md §5.1, EXPERIMENTS.md "Known deviations").
+func odcReaches(csr *circuit.CSR, x, y circuit.NodeID) bool {
+	return csr.Pos[x] < csr.Pos[y]
+}
+
+// pushGate ORs sens(y,x) & odc[y] into odc[x] for every distinct fanin x of
+// gate y, over words [lo, hi). sens(y,x) is the set of vectors on which
+// flipping x flips y, the XOR of y's flipped and clean evaluations. For a
+// pin read once it has a closed form over the other pins (the sensitivity
+// table, DESIGN.md §5.1):
+//
+//	AND, NAND            AND of the other pins
+//	OR, NOR              NOT of the OR of the other pins = AND of their NOTs
+//	XOR, XNOR, BUF, NOT  all ones
+//
+// computed for all pins at once with prefix/suffix products. A gate that
+// reads one net on several pins flips every copy, so it is re-evaluated
+// exactly. buf is scratch; the possibly grown buffer is returned for the
+// next call.
+func pushGate(csr *circuit.CSR, plane, odc []uint64, y circuit.NodeID, w, lo, hi int, buf []uint64) []uint64 {
+	ybase := int(y) * w
+	my := odc[ybase+lo : ybase+hi]
+	live := false
+	for _, m := range my {
+		live = live || m != 0
+	}
+	if !live {
+		return buf // nothing observable to push
+	}
+	fanin := csr.FaninOf(y)
+	if csr.RepeatedFanin[y] {
+		return pushFlip(csr, plane, odc, y, w, lo, hi, buf)
+	}
+	switch fn := csr.Fn[y]; fn {
+	case circuit.FnXor, circuit.FnXnor, circuit.FnBuf, circuit.FnNot:
+		for _, x := range fanin {
+			if !odcReaches(csr, x, y) {
+				continue
+			}
+			xbase := int(x) * w
+			dst := odc[xbase+lo : xbase+hi]
+			for i, m := range my {
+				dst[i] |= m
+			}
+		}
+	case circuit.FnAnd, circuit.FnNand, circuit.FnOr, circuit.FnNor:
+		// OR's sensitivity is the AND of the complemented other pins, so
+		// one product kernel serves both families.
+		var inv uint64
+		if fn == circuit.FnOr || fn == circuit.FnNor {
+			inv = ^uint64(0)
+		}
+		nw, k := hi-lo, len(fanin)
+		// suf[j*nw+i] = product of pins j..k-1 in word lo+i; the last
+		// row is the empty product. pre follows it as the running
+		// product of pins 0..j-1.
+		buf = slices.Grow(buf[:0], (k+2)*nw)[:(k+2)*nw]
+		suf, pre := buf[:(k+1)*nw], buf[(k+1)*nw:]
+		for i := range pre {
+			pre[i] = ^uint64(0)
+			suf[k*nw+i] = ^uint64(0)
+		}
+		for j := k - 1; j >= 0; j-- {
+			xbase := int(fanin[j]) * w
+			src := plane[xbase+lo : xbase+hi]
+			cur, next := suf[j*nw:(j+1)*nw], suf[(j+1)*nw:(j+2)*nw]
+			for i, v := range src {
+				cur[i] = next[i] & (v ^ inv)
+			}
+		}
+		for j, x := range fanin {
+			xbase := int(x) * w
+			if odcReaches(csr, x, y) {
+				dst, rest := odc[xbase+lo:xbase+hi], suf[(j+1)*nw:(j+2)*nw]
+				for i, m := range my {
+					dst[i] |= pre[i] & rest[i] & m
+				}
+			}
+			for i, v := range plane[xbase+lo : xbase+hi] {
+				pre[i] &= v ^ inv
+			}
+		}
+	}
+	return buf
+}
+
+// pushFlip is pushGate for a gate with repeated pins: each distinct fanin
+// x is complemented on every pin it drives and the gate re-evaluated,
+// reading the clean values straight off the frame's signature plane.
+func pushFlip(csr *circuit.CSR, plane, odc []uint64, y circuit.NodeID, w, lo, hi int, in []uint64) []uint64 {
+	fanin := csr.FaninOf(y)
+	ybase := int(y) * w
+	for p, x := range fanin {
+		if slices.Contains(fanin[:p], x) || !odcReaches(csr, x, y) {
+			continue
+		}
+		xbase := int(x) * w
+		for i := lo; i < hi; i++ {
+			m := odc[ybase+i]
+			if m == 0 {
+				continue
+			}
+			in = in[:0]
+			for _, fid := range fanin {
+				v := plane[int(fid)*w+i]
+				if fid == x {
+					v = ^v
+				}
+				in = append(in, v)
+			}
+			odc[xbase+i] |= (csr.Fn[y].Eval(in) ^ plane[ybase+i]) & m
+		}
+	}
+	return in
 }
