@@ -31,7 +31,10 @@ func (d *Design) CriticalElements(phi float64, n int, opt AnalysisOptions) ([]Co
 		return nil, err
 	}
 	opt = opt.normalized()
-	g := d.g
+	g, err := d.graph()
+	if err != nil {
+		return nil, err
+	}
 	r := graph.NewRetiming(g)
 	if phi <= 0 {
 		_, crit, err := g.ArrivalTimes(r)

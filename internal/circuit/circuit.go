@@ -239,11 +239,11 @@ type Circuit struct {
 	csr   *CSR
 	csrMu sync.Mutex
 
-	// dedupMark/dedupEpoch are the fanout-dedup scratch shared by add and
-	// Builder.Build: an epoch stamp per node replaces the per-call map the
-	// construction path used to allocate, so building an N-gate netlist
-	// costs O(1) dedup allocations instead of O(N). Only mutating calls
-	// touch the scratch, which are single-goroutine by contract.
+	// dedupMark/dedupEpoch are add's fanout-dedup scratch: an epoch stamp
+	// per node replaces a per-call map, so appending N gates costs O(1)
+	// dedup allocations instead of O(N). (Builder.Build and Assemble dedup
+	// in link with a mark array of their own.) Only mutating calls touch
+	// the scratch, which are single-goroutine by contract.
 	dedupMark  []uint32
 	dedupEpoch uint32
 }

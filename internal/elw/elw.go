@@ -60,10 +60,25 @@ func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]inte
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	order, err := g.ZeroWeightTopo(r)
+	order, err := g.NewSweep().Topo(r)
 	if err != nil {
 		return nil, err
 	}
+	return exact(g, r, order, p, maxIntervals), nil
+}
+
+// ExactInOrder is Exact on a zero-weight topological order of (g, r)
+// that the caller already holds: the Order of a graph.Sweep whose last
+// forward sweep ran at r. It saves the sort when the same order also
+// feeds the labels (see ser.Compute).
+func ExactInOrder(g *graph.Graph, r graph.Retiming, order []graph.VertexID, p Params, maxIntervals int) ([]interval.Set, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	return exact(g, r, order, p, maxIntervals), nil
+}
+
+func exact(g *graph.Graph, r graph.Retiming, order []graph.VertexID, p Params, maxIntervals int) []interval.Set {
 	base := p.LatchWindow()
 	out := make([]interval.Set, g.NumVertices())
 	arena := interval.NewArena(2 * g.NumVertices())
@@ -86,7 +101,7 @@ func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]inte
 		}
 		out[u] = arena.Copy(s)
 	}
-	return out, nil
+	return out
 }
 
 // RegisterWindows returns, for every edge with w_r > 0, the ELWs of the
@@ -131,38 +146,48 @@ type Labels struct {
 	LT, RT []graph.VertexID
 }
 
-// ComputeLabels evaluates eq. (6) under retiming r.
+// ComputeLabels evaluates eq. (6) under retiming r, sorting the
+// zero-weight subgraph with a sweep of its own.
 func ComputeLabels(g *graph.Graph, r graph.Retiming, p Params) (*Labels, error) {
-	return ComputeLabelsRec(g, r, p, nil)
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	order, err := g.NewSweep().Topo(r)
+	if err != nil {
+		return nil, err
+	}
+	return computeLabels(g, r, order, p), nil
 }
 
-// ComputeLabelsRec is ComputeLabels under telemetry: the computation is
-// recorded as one elw-recompute span and counted, making the dominant
-// cost of the P1'/P2' checks visible in traces. A nil recorder records
-// nothing.
-func ComputeLabelsRec(g *graph.Graph, r graph.Retiming, p Params, rec telemetry.Recorder) (*Labels, error) {
+// ComputeLabelsInOrder is ComputeLabels on a zero-weight topological
+// order of (g, r) that the caller already holds: the Order of a
+// graph.Sweep whose last forward sweep ran at r, such as the arrival
+// sweep a setup check has just made. The result equals ComputeLabels'
+// bit for bit, because that sorts with the same forward sweep. The
+// computation is recorded as one elw-recompute span and counted, making
+// the dominant cost of the P1'/P2' checks visible in traces; a nil
+// recorder records nothing.
+func ComputeLabelsInOrder(g *graph.Graph, r graph.Retiming, order []graph.VertexID, p Params, rec telemetry.Recorder) (*Labels, error) {
 	rec = telemetry.OrNop(rec)
 	rec.SpanStart(telemetry.PhaseELWRecompute)
 	rec.Count(telemetry.CounterELWRecomputes, 1)
-	lab, err := computeLabels(g, r, p)
+	err := p.validate()
+	var lab *Labels
+	if err == nil {
+		lab = computeLabels(g, r, order, p)
+	}
 	rec.SpanEnd(telemetry.PhaseELWRecompute, err)
 	return lab, err
 }
 
-func computeLabels(g *graph.Graph, r graph.Retiming, p Params) (*Labels, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	order, err := g.ZeroWeightTopo(r)
-	if err != nil {
-		return nil, err
-	}
+// computeLabels evaluates eq. (6) in reverse topological order.
+func computeLabels(g *graph.Graph, r graph.Retiming, order []graph.VertexID, p Params) *Labels {
 	lab := NewLabels(g.NumVertices())
 	wr := g.EdgeWeights(r)
 	for i := len(order) - 1; i >= 0; i-- {
 		lab.RelabelVertex(g, p, wr, order[i])
 	}
-	return lab, nil
+	return lab
 }
 
 // NewLabels returns empty labels for n vertices: no window, L = +Inf,

@@ -15,7 +15,7 @@ import (
 // left-to-right merge), materializes every shifted window, and coalesces
 // on copies.
 func legacyExact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([][]interval.Interval, error) {
-	order, err := g.ZeroWeightTopo(r)
+	order, err := legacyZeroWeightTopo(g, r)
 	if err != nil {
 		return nil, err
 	}

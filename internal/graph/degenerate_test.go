@@ -35,7 +35,7 @@ func TestFromCircuitZeroGates(t *testing.T) {
 	if got := len(g.Out(Host)); got != 0 {
 		t.Fatalf("host out-degree %d, want 0", got)
 	}
-	if _, err := g.ZeroWeightTopo(nil); err != nil {
+	if _, err := g.NewSweep().Topo(nil); err != nil {
 		t.Fatal(err)
 	}
 }

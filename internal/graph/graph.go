@@ -280,50 +280,6 @@ func (g *Graph) SharedRegisters(r Retiming) int64 {
 	return n
 }
 
-// ZeroWeightTopo returns the vertices (excluding Host) in a topological
-// order of the subgraph of edges with w_r = 0, ignoring edges incident to
-// the host (the environment is a timing barrier). An error is returned if
-// the zero-weight subgraph has a cycle, which means the retimed circuit is
-// not a synchronous circuit.
-func (g *Graph) ZeroWeightTopo(r Retiming) ([]VertexID, error) {
-	n := g.NumVertices()
-	indeg := make([]int32, n)
-	for i := range g.eW {
-		if g.eFrom[i] == Host || g.eTo[i] == Host {
-			continue
-		}
-		if g.WR(EdgeID(i), r) == 0 {
-			indeg[g.eTo[i]]++
-		}
-	}
-	queue := make([]VertexID, 0, n)
-	for v := 1; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, VertexID(v))
-		}
-	}
-	order := make([]VertexID, 0, n-1)
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		order = append(order, v)
-		for _, eid := range g.Out(v) {
-			to := g.eTo[eid]
-			if to == Host || g.WR(eid, r) != 0 {
-				continue
-			}
-			indeg[to]--
-			if indeg[to] == 0 {
-				queue = append(queue, to)
-			}
-		}
-	}
-	if len(order) != n-1 {
-		return nil, fmt.Errorf("graph: zero-weight cycle under retiming (%d of %d vertices ordered)", len(order), n-1)
-	}
-	return order, nil
-}
-
 // ArrivalTimes computes the combinational arrival time at each vertex
 // under r: A(v) = d(v) + max over zero-weight in-edges (u,v) of A(u),
 // with registered and host inputs arriving at time 0. The second return
@@ -341,24 +297,33 @@ func (g *Graph) ArrivalTimes(r Retiming) ([]float64, float64, error) {
 // pushed its value into it. Floating-point max does not depend on the
 // order of its operands, so the values equal those of a sweep over an
 // explicit topological order.
+//
+// The forward pass is also the package's only zero-weight topological
+// sort: it records the order in which it pops the vertices (Order), and
+// consumers that walk the zero-weight DAG — the L/R labels and exact
+// windows of internal/elw — run on that order instead of sorting again.
+// The order is a pure function of (g, r): the pass seeds its stack with
+// the sources in ascending vertex order, pops the most recently pushed
+// vertex, and releases successors in CSR out-edge order.
 type Sweep struct {
 	g      *Graph
-	zero   []bool // per edge: in the zero-weight subgraph under this sweep's r
 	deg    []int32
 	stack  []VertexID
 	val    []float64
+	order  []VertexID // pop order of the last forward pass
 	sweeps int
 }
 
 // NewSweep returns a sweep scratch for g.
 func (g *Graph) NewSweep() *Sweep {
 	n := g.NumVertices()
+	ids := make([]VertexID, 2*n) // one allocation for the stack and the order
 	return &Sweep{
 		g:     g,
-		zero:  make([]bool, g.NumEdges()),
 		deg:   make([]int32, n),
-		stack: make([]VertexID, 0, n),
+		stack: ids[:0:n],
 		val:   make([]float64, n),
+		order: ids[n:n],
 	}
 }
 
@@ -372,6 +337,26 @@ func (s *Sweep) Sweeps() int { return s.sweeps }
 // the sweep's own and is overwritten by its next sweep.
 func (s *Sweep) Arrivals(r Retiming) ([]float64, float64, error) {
 	return s.run(r, false)
+}
+
+// Order returns the vertices (excluding Host) in the topological order of
+// the zero-weight subgraph that the last forward sweep (Arrivals or Topo)
+// popped them in. It is empty when that sweep found a zero-weight cycle.
+// The slice is the sweep's own and is overwritten by its next forward
+// sweep; reverse sweeps leave it alone.
+func (s *Sweep) Order() []VertexID { return s.order }
+
+// Topo runs a forward sweep under r and returns its order: the vertices
+// (excluding Host) in a topological order of the subgraph of edges with
+// w_r = 0, ignoring edges incident to the host (the environment is a
+// timing barrier). An error is returned if the zero-weight subgraph has a
+// cycle, which means the retimed circuit is not a synchronous circuit.
+// The slice is the sweep's own, as for Order.
+func (s *Sweep) Topo(r Retiming) ([]VertexID, error) {
+	if _, _, err := s.run(r, false); err != nil {
+		return nil, err
+	}
+	return s.order, nil
 }
 
 // ReverseArrivals computes, for each vertex v, the maximum delay of a
@@ -389,13 +374,12 @@ func (s *Sweep) ReverseArrivals(r Retiming) ([]float64, error) {
 func (s *Sweep) run(r Retiming, reverse bool) ([]float64, float64, error) {
 	g := s.g
 	s.sweeps++
-	zero, deg, val := s.zero, s.deg, s.val
+	deg, val := s.deg, s.val
 	clear(deg)
 	clear(val)
 	for i := range g.eW {
 		from, to := g.eFrom[i], g.eTo[i]
-		zero[i] = from != Host && to != Host && g.eW[i]+r[to]-r[from] == 0
-		if !zero[i] {
+		if from == Host || to == Host || g.eW[i]+r[to]-r[from] != 0 {
 			continue
 		}
 		if reverse {
@@ -410,12 +394,16 @@ func (s *Sweep) run(r Retiming, reverse bool) ([]float64, float64, error) {
 			stack = append(stack, VertexID(v))
 		}
 	}
+	order := s.order[:0]
 	var crit float64
 	done := 0
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		done++
+		if !reverse {
+			order = append(order, v)
+		}
 		a := val[v] + g.delay[v]
 		val[v] = a
 		if a > crit {
@@ -426,10 +414,10 @@ func (s *Sweep) run(r Retiming, reverse bool) ([]float64, float64, error) {
 			adj, far = g.In(v), g.eFrom
 		}
 		for _, eid := range adj {
-			if !zero[eid] {
+			u := far[eid]
+			if u == Host || g.eW[eid]+r[g.eTo[eid]]-r[g.eFrom[eid]] != 0 {
 				continue
 			}
-			u := far[eid]
 			if a > val[u] {
 				val[u] = a
 			}
@@ -439,7 +427,13 @@ func (s *Sweep) run(r Retiming, reverse bool) ([]float64, float64, error) {
 		}
 	}
 	s.stack = stack
+	if !reverse {
+		s.order = order
+	}
 	if done != len(deg)-1 {
+		if !reverse {
+			s.order = order[:0]
+		}
 		return nil, 0, fmt.Errorf("graph: zero-weight cycle under retiming (%d of %d vertices ordered)", done, len(deg)-1)
 	}
 	return val, crit, nil
@@ -457,7 +451,7 @@ func (g *Graph) Check() error {
 			return fmt.Errorf("graph: edge %d endpoint out of range", i)
 		}
 	}
-	_, err := g.ZeroWeightTopo(NewRetiming(g))
+	_, err := g.NewSweep().Topo(NewRetiming(g))
 	return err
 }
 

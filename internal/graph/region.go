@@ -14,7 +14,7 @@ package graph
 // successor they read is outside the region too.
 //
 // Host-incident edges never participate: the environment is a timing
-// barrier (ZeroWeightTopo ignores them, and the label kernel treats edges
+// barrier (the timing sweeps ignore them, and the label kernel treats edges
 // into the host as registered regardless of weight).
 //
 // The walker's buffers are sized once for a graph and reused across calls;
@@ -23,6 +23,7 @@ type RegionWalker struct {
 	g        *Graph
 	inRegion []bool
 	region   []VertexID
+	scan     int // Collect's breadth-first position in region
 
 	// DFS scratch for TopoSuccFirst.
 	state []uint8
@@ -56,38 +57,52 @@ func (rw *RegionWalker) Reset() {
 // Collect grows the dirty region: the closure of seeds under edges with
 // wr[e] == 0 whose endpoints are both non-host, walked from sink to
 // source. wr is indexed by EdgeID and must describe the *tentative* edge
-// weights. It reports false — leaving a partial region that the next call
-// clears — when the region would exceed limit vertices (limit <= 0 means
-// unbounded), the caller's cue to fall back to a full label recompute.
-// Host and duplicate seeds are ignored.
+// weights. It reports false — leaving a partial region that Finish can
+// complete and the next call clears — when the region would exceed limit
+// vertices (limit <= 0 means unbounded), the caller's cue to fall back to
+// a full label recompute. Host and duplicate seeds are ignored.
 func (rw *RegionWalker) Collect(wr []int32, seeds []VertexID, limit int) bool {
 	rw.Reset()
-	add := func(v VertexID) bool {
-		if v == Host || rw.inRegion[v] {
-			return true
-		}
-		rw.inRegion[v] = true
-		rw.region = append(rw.region, v)
-		return limit <= 0 || len(rw.region) <= limit
-	}
+	rw.scan = 0
 	for _, s := range seeds {
-		if !add(s) {
+		rw.add(s)
+	}
+	return rw.grow(wr, limit)
+}
+
+// Finish completes the walk a Collect stopped at its limit and returns
+// the size of the whole closure; after a complete Collect it returns the
+// region's size. Only telemetry wants the size of a region that already
+// tripped its limit, so Collect never pays for it.
+func (rw *RegionWalker) Finish(wr []int32) int {
+	rw.grow(wr, 0)
+	return len(rw.region)
+}
+
+func (rw *RegionWalker) add(v VertexID) {
+	if v == Host || rw.inRegion[v] {
+		return
+	}
+	rw.inRegion[v] = true
+	rw.region = append(rw.region, v)
+}
+
+// grow expands the region breadth-first from rw.scan, stopping once it
+// holds more than limit vertices (limit <= 0: never). The vertex being
+// expanded when it stops stays at rw.scan, so a later grow re-expands it;
+// add ignores the predecessors already taken.
+func (rw *RegionWalker) grow(wr []int32, limit int) bool {
+	for ; rw.scan < len(rw.region); rw.scan++ {
+		if limit > 0 && len(rw.region) > limit {
 			return false
 		}
-	}
-	for i := 0; i < len(rw.region); i++ {
-		v := rw.region[i]
-		for _, eid := range rw.g.In(v) {
-			from := rw.g.eFrom[eid]
-			if from == Host || wr[eid] != 0 {
-				continue
-			}
-			if !add(from) {
-				return false
+		for _, eid := range rw.g.In(rw.region[rw.scan]) {
+			if from := rw.g.eFrom[eid]; from != Host && wr[eid] == 0 {
+				rw.add(from)
 			}
 		}
 	}
-	return true
+	return limit <= 0 || len(rw.region) <= limit
 }
 
 // Region returns the collected vertices in discovery order. The slice is
@@ -101,7 +116,7 @@ func (rw *RegionWalker) InRegion(v VertexID) bool { return rw.inRegion[v] }
 // zero-weight out-edges that stay inside the region: every vertex appears
 // after each zero-weight successor whose labels it reads, so relabeling in
 // this order sees only finalized successors — the same dependency order as
-// the reverse ZeroWeightTopo sweep of the full recompute. The zero-weight
+// the reverse walk of a Sweep order in the full recompute. The zero-weight
 // subgraph is acyclic under every retiming (each cycle keeps its total
 // register count, which is >= 1), so the DFS needs no cycle handling; a
 // zero-weight cycle would indicate a corrupted weight slice and panics.

@@ -75,6 +75,33 @@ func TestRegionCollectLimit(t *testing.T) {
 	}
 }
 
+// TestRegionFinishSizesTrippedRegion: Finish completes a walk that
+// tripped its limit to the same closure an unbounded Collect finds, over
+// random graphs, seeds and limits.
+func TestRegionFinishSizesTrippedRegion(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomSyncGraph(rng, 3+rng.Intn(40))
+		wr := make([]int32, g.NumEdges())
+		for e := range wr {
+			wr[e] = g.EdgeW(EdgeID(e))
+		}
+		seeds := []VertexID{VertexID(1 + rng.Intn(g.NumGates())), VertexID(1 + rng.Intn(g.NumGates()))}
+		rw := NewRegionWalker(g)
+		rw.Collect(wr, seeds, 0)
+		want := len(rw.Region())
+		for limit := 1; limit <= want+1; limit++ {
+			ok := rw.Collect(wr, seeds, limit)
+			if ok != (want <= limit) {
+				t.Fatalf("seed %d limit %d: Collect %v for a %d-vertex closure", seed, limit, ok, want)
+			}
+			if got := rw.Finish(wr); got != want {
+				t.Fatalf("seed %d limit %d: Finish %d, want %d", seed, limit, got, want)
+			}
+		}
+	}
+}
+
 func TestTopoSuccFirstOrder(t *testing.T) {
 	// Random DAG-with-registers instances: collect a full-circuit region
 	// and check every in-region zero-weight edge u->v has v ordered

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,10 +31,52 @@ func randomSyncGraph(rng *rand.Rand, n int) *Graph {
 	return b.Build()
 }
 
-// topoSweeps is the two-pass reference: an explicit ZeroWeightTopo order,
+// zeroWeightTopo is the stand-alone zero-weight topological sort that
+// Graph.ZeroWeightTopo was before the forward sweep became the only one,
+// kept verbatim as the reference order of the sweep tests.
+func zeroWeightTopo(g *Graph, r Retiming) ([]VertexID, error) {
+	n := g.NumVertices()
+	indeg := make([]int32, n)
+	for i := range g.eW {
+		if g.eFrom[i] == Host || g.eTo[i] == Host {
+			continue
+		}
+		if g.WR(EdgeID(i), r) == 0 {
+			indeg[g.eTo[i]]++
+		}
+	}
+	queue := make([]VertexID, 0, n)
+	for v := 1; v < n; v++ {
+		if indeg[v] == 0 {
+			queue = append(queue, VertexID(v))
+		}
+	}
+	order := make([]VertexID, 0, n-1)
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		order = append(order, v)
+		for _, eid := range g.Out(v) {
+			to := g.eTo[eid]
+			if to == Host || g.WR(eid, r) != 0 {
+				continue
+			}
+			indeg[to]--
+			if indeg[to] == 0 {
+				queue = append(queue, to)
+			}
+		}
+	}
+	if len(order) != n-1 {
+		return nil, fmt.Errorf("graph: zero-weight cycle under retiming (%d of %d vertices ordered)", len(order), n-1)
+	}
+	return order, nil
+}
+
+// topoSweeps is the two-pass reference: an explicit zeroWeightTopo order,
 // then arrivals in that order and reverse arrivals in its reverse.
 func topoSweeps(g *Graph, r Retiming) (arr, rarr []float64, crit float64, err error) {
-	order, err := g.ZeroWeightTopo(r)
+	order, err := zeroWeightTopo(g, r)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -110,6 +154,48 @@ func TestSweepMatchesTopoOrder(t *testing.T) {
 	}
 }
 
+// TestSweepOrderMatchesZeroWeightTopo pins the forward sweep's recorded
+// order to the stand-alone sort it replaced, vertex for vertex, over
+// random graphs and random (possibly illegal) retimings. Label consumers
+// depend on the exact order where a negative edge leaves a dependency
+// unordered, so equal sets are not enough. Reverse sweeps between forward
+// ones must not disturb the recorded order.
+func TestSweepOrderMatchesZeroWeightTopo(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomSyncGraph(rng, 2+rng.Intn(40))
+		sw := g.NewSweep()
+		for trial := 0; trial < 8; trial++ {
+			r := NewRetiming(g)
+			if trial > 0 {
+				for v := 1; v < len(r); v++ {
+					r[v] = int32(rng.Intn(3)) - 1
+				}
+			}
+			want, err := zeroWeightTopo(g, r)
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
+			}
+			got, err := sw.Topo(r)
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d trial %d: Topo order %v, want %v", seed, trial, got, want)
+			}
+			if _, err := sw.ReverseArrivals(r); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := sw.Arrivals(r); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sw.Order(), want) {
+				t.Fatalf("seed %d trial %d: Arrivals order %v, want %v", seed, trial, sw.Order(), want)
+			}
+		}
+	}
+}
+
 func TestSweepDetectsZeroWeightCycle(t *testing.T) {
 	b := NewBuilder()
 	a := b.AddVertex("a", 1)
@@ -123,6 +209,9 @@ func TestSweepDetectsZeroWeightCycle(t *testing.T) {
 	}
 	if _, err := sw.ReverseArrivals(NewRetiming(g)); err == nil {
 		t.Error("reverse sweep missed the zero-weight cycle")
+	}
+	if _, err := sw.Topo(NewRetiming(g)); err == nil || len(sw.Order()) != 0 {
+		t.Errorf("Topo on a zero-weight cycle: err %v, order %v", err, sw.Order())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"serretime/internal/elw"
 	"serretime/internal/graph"
@@ -49,6 +50,68 @@ func feasPassCap(g *graph.Graph) int {
 	return n
 }
 
+// pass is one forward timing pass: the arrival times at some retiming r
+// and the zero-weight topological order the sweep computed them in, so
+// labels at the same r can run on that order without sorting again. A
+// zero pass (nil arr) is one that is not known.
+type pass struct {
+	arr   []float64
+	crit  float64
+	order []graph.VertexID
+}
+
+// timer runs the initialization's timing sweeps on one graph.Sweep. Every
+// probe of the period searches starts its relaxations from the zero
+// retiming, so the forward and reverse passes at r = 0 are computed once
+// per timer, on first use, and every probe's first relaxation pass reads
+// the copies. They live here rather than inside graph.Sweep, so that
+// Sweep.Sweeps() still counts only passes that really ran.
+type timer struct {
+	sw *graph.Sweep
+
+	fwdDone, revDone bool
+	zero             pass // forward pass at r = 0
+	zeroRev          []float64
+	zeroErr          error // forward sweep error at r = 0
+	zeroRevErr       error
+}
+
+func newTimer(sw *graph.Sweep) *timer { return &timer{sw: sw} }
+
+// forwardZero returns the forward pass at the zero retiming.
+func (t *timer) forwardZero() (pass, error) {
+	if !t.fwdDone {
+		t.fwdDone = true
+		arr, crit, err := t.sw.Arrivals(graph.NewRetiming(t.sw.Graph()))
+		if t.zeroErr = err; err == nil {
+			t.zero = pass{arr: slices.Clone(arr), crit: crit, order: slices.Clone(t.sw.Order())}
+		}
+	}
+	return t.zero, t.zeroErr
+}
+
+// reverseZero returns the reverse arrivals at the zero retiming.
+func (t *timer) reverseZero() ([]float64, error) {
+	if !t.revDone {
+		t.revDone = true
+		rarr, err := t.sw.ReverseArrivals(graph.NewRetiming(t.sw.Graph()))
+		if t.zeroRevErr = err; err == nil {
+			t.zeroRev = slices.Clone(rarr)
+		}
+	}
+	return t.zeroRev, t.zeroRevErr
+}
+
+// forward sweeps r. The pass is the sweep's own, valid until its next
+// forward sweep.
+func (t *timer) forward(r graph.Retiming) (pass, error) {
+	arr, crit, err := t.sw.Arrivals(r)
+	if err != nil {
+		return pass{}, err
+	}
+	return pass{arr: arr, crit: crit, order: t.sw.Order()}, nil
+}
+
 // FEAS runs the Leiserson–Saxe relaxation for the target period phi:
 // it repeatedly increments r(v) (moving registers backward, from fanouts
 // to fanins) for every vertex whose arrival time exceeds phi − ts.
@@ -59,26 +122,34 @@ func feasPassCap(g *graph.Graph) int {
 // Together they form a sound (always-legal) but possibly conservative
 // min-period search; see MinPeriod.
 func FEAS(g *graph.Graph, phi, ts float64) (graph.Retiming, bool) {
-	r, ok, _ := feasCtx(context.Background(), g.NewSweep(), phi, ts)
+	r, _, ok, _ := feasCtx(context.Background(), newTimer(g.NewSweep()), phi, ts)
 	return r, ok
 }
 
 // feasCtx is FEAS with a cancellation checkpoint per relaxation pass,
-// sweeping on sw's buffers. The error is non-nil only for cancellation
-// (unwrapping to guard.ErrTimeout); plain infeasibility stays
-// (nil, false, nil).
-func feasCtx(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retiming, bool, error) {
-	g := sw.Graph()
+// sweeping on t. The error is non-nil only for cancellation (unwrapping
+// to guard.ErrTimeout); plain infeasibility stays (nil, false, nil). On
+// success it also returns the last pass, which found r feasible: the
+// forward pass at r.
+func feasCtx(ctx context.Context, t *timer, phi, ts float64) (graph.Retiming, pass, bool, error) {
+	g := t.sw.Graph()
 	r := graph.NewRetiming(g)
 	limit := feasPassCap(g)
 	for it := 0; it < limit; it++ {
 		if cerr := guard.CheckpointIn(ctx, "retime.FEAS", telemetry.PhaseInit.String()); cerr != nil {
-			return nil, false, cerr
+			return nil, pass{}, false, cerr
 		}
-		arr, _, err := sw.Arrivals(r)
+		var fw pass
+		var err error
+		if it == 0 {
+			fw, err = t.forwardZero()
+		} else {
+			fw, err = t.forward(r)
+		}
 		if err != nil {
-			return nil, false, nil
+			return nil, pass{}, false, nil
 		}
+		arr := fw.arr
 		violated := false
 		for v := 1; v < g.NumVertices(); v++ {
 			if arr[v] <= phi-ts+eps {
@@ -88,17 +159,17 @@ func feasCtx(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retim
 			// out-edges; a zero-weight edge into the host blocks the move.
 			for _, oe := range g.Out(graph.VertexID(v)) {
 				if g.Edge(oe).To == graph.Host && g.WR(oe, r) == 0 {
-					return nil, false, nil
+					return nil, pass{}, false, nil
 				}
 			}
 			r[v]++
 			violated = true
 		}
 		if !violated {
-			return r, true, nil
+			return r, fw, true, nil
 		}
 	}
-	return nil, false, nil
+	return nil, pass{}, false, nil
 }
 
 // FEASBackward is the mirror image of FEAS: it computes required times
@@ -106,21 +177,30 @@ func feasCtx(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retim
 // every vertex whose backward path exceeds phi − ts. It covers circuits
 // whose critical paths end at primary outputs (where FEAS is blocked).
 func FEASBackward(g *graph.Graph, phi, ts float64) (graph.Retiming, bool) {
-	r, ok, _ := feasBackwardCtx(context.Background(), g.NewSweep(), phi, ts)
+	r, _, ok, _ := feasBackwardCtx(context.Background(), newTimer(g.NewSweep()), phi, ts)
 	return r, ok
 }
 
-func feasBackwardCtx(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retiming, bool, error) {
-	g := sw.Graph()
+// feasBackwardCtx is FEASBackward on t. A success in its first pass
+// returns the zero retiming, whose forward pass t already knows; it
+// returns that pass then, and an unknown one otherwise.
+func feasBackwardCtx(ctx context.Context, t *timer, phi, ts float64) (graph.Retiming, pass, bool, error) {
+	g := t.sw.Graph()
 	r := graph.NewRetiming(g)
 	limit := feasPassCap(g)
 	for it := 0; it < limit; it++ {
 		if cerr := guard.CheckpointIn(ctx, "retime.FEASBackward", telemetry.PhaseInit.String()); cerr != nil {
-			return nil, false, cerr
+			return nil, pass{}, false, cerr
 		}
-		rarr, err := sw.ReverseArrivals(r)
+		var rarr []float64
+		var err error
+		if it == 0 {
+			rarr, err = t.reverseZero()
+		} else {
+			rarr, err = t.sw.ReverseArrivals(r)
+		}
 		if err != nil {
-			return nil, false, nil
+			return nil, pass{}, false, nil
 		}
 		violated := false
 		for v := 1; v < g.NumVertices(); v++ {
@@ -131,27 +211,32 @@ func feasBackwardCtx(ctx context.Context, sw *graph.Sweep, phi, ts float64) (gra
 			// in-edges; a zero-weight edge from the host blocks the move.
 			for _, ie := range g.In(graph.VertexID(v)) {
 				if g.Edge(ie).From == graph.Host && g.WR(ie, r) == 0 {
-					return nil, false, nil
+					return nil, pass{}, false, nil
 				}
 			}
 			r[v]--
 			violated = true
 		}
 		if !violated {
-			return r, true, nil
+			var fw pass
+			if it == 0 && t.fwdDone {
+				fw = t.zero
+			}
+			return r, fw, true, nil
 		}
 	}
-	return nil, false, nil
+	return nil, pass{}, false, nil
 }
 
 // tryPeriod attempts phi with both relaxation directions. Forward moves
 // (FEASBackward) are preferred: they never pull registers out of the
-// environment and tend to reduce the register count.
-func tryPeriod(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Retiming, bool, error) {
-	if r, ok, err := feasBackwardCtx(ctx, sw, phi, ts); ok || err != nil {
-		return r, ok, err
+// environment and tend to reduce the register count. The pass is the
+// forward pass at the returned r when the relaxation knows it.
+func tryPeriod(ctx context.Context, t *timer, phi, ts float64) (graph.Retiming, pass, bool, error) {
+	if r, fw, ok, err := feasBackwardCtx(ctx, t, phi, ts); ok || err != nil {
+		return r, fw, ok, err
 	}
-	return feasCtx(ctx, sw, phi, ts)
+	return feasCtx(ctx, t, phi, ts)
 }
 
 // MinPeriod finds the smallest clock period (on the delay grid) reachable
@@ -160,17 +245,18 @@ func tryPeriod(ctx context.Context, sw *graph.Sweep, phi, ts float64) (graph.Ret
 // at the environment can make some periods unreachable by single-direction
 // relaxation.
 func MinPeriod(g *graph.Graph, ts float64) (graph.Retiming, float64, error) {
-	return minPeriodCtx(context.Background(), g.NewSweep(), ts)
+	return minPeriodCtx(context.Background(), newTimer(g.NewSweep()), ts)
 }
 
 // minPeriodCtx keeps the retiming of the last feasible probe, so the
 // period the search settles on is not solved twice.
-func minPeriodCtx(ctx context.Context, sw *graph.Sweep, ts float64) (graph.Retiming, float64, error) {
-	g := sw.Graph()
-	_, crit, err := sw.Arrivals(graph.NewRetiming(g))
+func minPeriodCtx(ctx context.Context, t *timer, ts float64) (graph.Retiming, float64, error) {
+	g := t.sw.Graph()
+	fw, err := t.forwardZero()
 	if err != nil {
 		return nil, 0, err
 	}
+	crit := fw.crit
 	hi := snapUp(crit + ts) // the unretimed circuit achieves this
 	lo := snapUp(g.MaxDelay() + ts)
 	if lo > hi {
@@ -180,7 +266,7 @@ func minPeriodCtx(ctx context.Context, sw *graph.Sweep, ts float64) (graph.Retim
 	var best graph.Retiming
 	for lo < hi-eps {
 		mid := snapUp(lo + math.Floor((hi-lo)/(2*grid))*grid)
-		r, ok, cerr := tryPeriod(ctx, sw, mid, ts)
+		r, _, ok, cerr := tryPeriod(ctx, t, mid, ts)
 		if cerr != nil {
 			return nil, 0, cerr
 		}
@@ -193,7 +279,7 @@ func minPeriodCtx(ctx context.Context, sw *graph.Sweep, ts float64) (graph.Retim
 	if best != nil {
 		return best, hi, nil
 	}
-	r, ok, cerr := tryPeriod(ctx, sw, hi, ts)
+	r, _, ok, cerr := tryPeriod(ctx, t, hi, ts)
 	if cerr != nil {
 		return nil, 0, cerr
 	}
@@ -214,13 +300,17 @@ func snapUp(x float64) float64 { return math.Ceil(x/grid-eps) * grid }
 // structures, in which case ok is false (the caller falls back to
 // MinPeriod, as the paper prescribes).
 func SetupHold(g *graph.Graph, phi, ts, th float64) (graph.Retiming, bool) {
-	r, ok, _ := setupHoldCtx(context.Background(), g.NewSweep(), phi, ts, th, telemetry.Nop)
+	r, ok, _ := setupHoldCtx(context.Background(), newTimer(g.NewSweep()), phi, ts, th, telemetry.Nop)
 	return r, ok
 }
 
-func setupHoldCtx(ctx context.Context, sw *graph.Sweep, phi, ts, th float64, rec telemetry.Recorder) (graph.Retiming, bool, error) {
-	g := sw.Graph()
-	r, ok, cerr := tryPeriod(ctx, sw, phi, ts)
+// setupHoldCtx alternates setup checks and hold repairs. A setup check
+// at an r the relaxation has just found feasible reuses the relaxation's
+// last pass instead of sweeping r again, and the labels of the hold check
+// run on the order of the setup check's pass, at the same r.
+func setupHoldCtx(ctx context.Context, t *timer, phi, ts, th float64, rec telemetry.Recorder) (graph.Retiming, bool, error) {
+	g := t.sw.Graph()
+	r, fw, ok, cerr := tryPeriod(ctx, t, phi, ts)
 	if cerr != nil {
 		return nil, false, cerr
 	}
@@ -234,10 +324,13 @@ func setupHoldCtx(ctx context.Context, sw *graph.Sweep, phi, ts, th float64, rec
 		if cerr := guard.CheckpointIn(ctx, "retime.SetupHold", telemetry.PhaseInit.String()); cerr != nil {
 			return nil, false, cerr
 		}
-		arr, _, err := sw.Arrivals(r)
-		if err != nil {
-			return nil, false, nil
+		if fw.arr == nil {
+			var err error
+			if fw, err = t.forward(r); err != nil {
+				return nil, false, nil
+			}
 		}
+		arr := fw.arr
 		violated := false
 		for v := 1; v < g.NumVertices(); v++ {
 			if arr[v] > phi-ts+eps {
@@ -254,9 +347,11 @@ func setupHoldCtx(ctx context.Context, sw *graph.Sweep, phi, ts, th float64, rec
 			}
 		}
 		if violated {
+			fw = pass{}
 			continue
 		}
-		lab, err := elw.ComputeLabelsRec(g, r, p, rec)
+		lab, err := elw.ComputeLabelsInOrder(g, r, fw.order, p, rec)
+		fw = pass{} // the repairs below move r
 		if err != nil {
 			return nil, false, nil
 		}
@@ -339,25 +434,26 @@ func holdRepair(g *graph.Graph, r graph.Retiming, eid graph.EdgeID) bool {
 // MinPeriodSetupHold finds the smallest period (on the delay grid) for
 // which SetupHold succeeds.
 func MinPeriodSetupHold(g *graph.Graph, ts, th float64) (graph.Retiming, float64, bool) {
-	r, phi, ok, _ := minPeriodSetupHoldCtx(context.Background(), g.NewSweep(), ts, th, telemetry.Nop)
+	r, phi, ok, _ := minPeriodSetupHoldCtx(context.Background(), newTimer(g.NewSweep()), ts, th, telemetry.Nop)
 	return r, phi, ok
 }
 
 // minPeriodSetupHoldCtx keeps the retiming of the last successful probe:
 // SetupHold is deterministic, so re-solving the final period would only
 // reproduce it.
-func minPeriodSetupHoldCtx(ctx context.Context, sw *graph.Sweep, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
-	g := sw.Graph()
-	_, crit, err := sw.Arrivals(graph.NewRetiming(g))
+func minPeriodSetupHoldCtx(ctx context.Context, t *timer, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
+	g := t.sw.Graph()
+	fw, err := t.forwardZero()
 	if err != nil {
 		return nil, 0, false, nil
 	}
+	crit := fw.crit
 	lo := snapUp(g.MaxDelay() + ts)
 	hi := snapUp(crit + ts)
 	if lo > hi {
 		lo = hi
 	}
-	best, ok, cerr := setupHoldCtx(ctx, sw, hi, ts, th, rec)
+	best, ok, cerr := setupHoldCtx(ctx, t, hi, ts, th, rec)
 	if cerr != nil {
 		return nil, 0, false, cerr
 	}
@@ -365,7 +461,7 @@ func minPeriodSetupHoldCtx(ctx context.Context, sw *graph.Sweep, ts, th float64,
 		// Try some slack above the unretimed critical path before giving
 		// up: hold repairs may need headroom.
 		hi2 := snapUp(hi * 1.5)
-		if best, ok, cerr = setupHoldCtx(ctx, sw, hi2, ts, th, rec); cerr != nil {
+		if best, ok, cerr = setupHoldCtx(ctx, t, hi2, ts, th, rec); cerr != nil {
 			return nil, 0, false, cerr
 		} else if !ok {
 			return nil, 0, false, nil
@@ -374,7 +470,7 @@ func minPeriodSetupHoldCtx(ctx context.Context, sw *graph.Sweep, ts, th float64,
 	}
 	for lo < hi-eps {
 		mid := snapUp(lo + math.Floor((hi-lo)/(2*grid))*grid)
-		r, ok, cerr := setupHoldCtx(ctx, sw, mid, ts, th, rec)
+		r, ok, cerr := setupHoldCtx(ctx, t, mid, ts, th, rec)
 		if cerr != nil {
 			return nil, 0, false, cerr
 		}
@@ -445,19 +541,21 @@ func InitializeCtx(ctx context.Context, g *graph.Graph, o Options) (*Init, error
 	rec := telemetry.OrNop(o.Recorder)
 	rec.SpanStart(telemetry.PhaseInit)
 	sw := g.NewSweep()
-	init, err := initializeCtx(ctx, sw, o, rec)
+	init, err := initializeCtx(ctx, newTimer(sw), o, rec)
 	rec.Count(telemetry.CounterInitSweeps, int64(sw.Sweeps()))
 	rec.SpanEnd(telemetry.PhaseInit, err)
 	return init, err
 }
 
-func initializeCtx(ctx context.Context, sw *graph.Sweep, o Options, rec telemetry.Recorder) (*Init, error) {
-	g := sw.Graph()
+// initializeCtx runs both period searches on one timer, so the setup+hold
+// search and the min-period fallback share the passes at r = 0.
+func initializeCtx(ctx context.Context, t *timer, o Options, rec telemetry.Recorder) (*Init, error) {
+	g := t.sw.Graph()
 	if o.Epsilon < 0 {
 		return nil, fmt.Errorf("retime: negative epsilon %g", o.Epsilon)
 	}
 	init := &Init{}
-	r, phi, ok, cerr := minPeriodSetupHoldCtx(ctx, sw, o.Ts, o.Th, rec)
+	r, phi, ok, cerr := minPeriodSetupHoldCtx(ctx, t, o.Ts, o.Th, rec)
 	if cerr != nil {
 		return nil, cerr
 	}
@@ -469,7 +567,11 @@ func initializeCtx(ctx context.Context, sw *graph.Sweep, o Options, rec telemetr
 		// Rmin: the minimal register-launched shortest path of the
 		// initialized circuit (independent of Φ).
 		p := elw.Params{Phi: init.Phi, Ts: o.Ts, Th: o.Th}
-		lab, err := elw.ComputeLabelsRec(g, r, p, rec)
+		order, err := t.sw.Topo(r)
+		if err != nil {
+			return nil, err
+		}
+		lab, err := elw.ComputeLabelsInOrder(g, r, order, p, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -481,7 +583,7 @@ func initializeCtx(ctx context.Context, sw *graph.Sweep, o Options, rec telemetr
 		init.Labels = lab
 		return init, nil
 	}
-	r, phi, err := minPeriodCtx(ctx, sw, o.Ts)
+	r, phi, err := minPeriodCtx(ctx, t, o.Ts)
 	if err != nil {
 		return nil, err
 	}

@@ -190,11 +190,16 @@ func Compute(g *graph.Graph, r graph.Retiming, in Inputs) (*Analysis, error) {
 	if err := g.CheckLegal(r); err != nil {
 		return nil, err
 	}
-	elws, err := elw.Exact(g, r, in.Params, in.MaxIntervals)
+	// One zero-weight order serves both the windows and the labels.
+	order, err := g.NewSweep().Topo(r)
 	if err != nil {
 		return nil, err
 	}
-	lab, err := elw.ComputeLabels(g, r, in.Params)
+	elws, err := elw.ExactInOrder(g, r, order, in.Params, in.MaxIntervals)
+	if err != nil {
+		return nil, err
+	}
+	lab, err := elw.ComputeLabelsInOrder(g, r, order, in.Params, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -25,8 +25,8 @@
 // exactly. The zero-weight subgraph is a DAG under *any* retiming, legal
 // or not (cycle register counts telescope), so the induction is sound
 // even mid-move. The only hazard is an edge with w_r < 0: the oracle
-// treats it like a combinational edge but ZeroWeightTopo does not order
-// it, making the oracle's result depend on its traversal order. State
+// treats it like a combinational edge but the zero-weight sort does not
+// order it, making the oracle's result depend on its traversal order. State
 // therefore falls back to the oracle itself (a full recompute) whenever a
 // changed non-host edge goes negative, and similarly when the dirty
 // region exceeds Config.DirtyThreshold of the gates — both fallbacks are
@@ -182,6 +182,7 @@ type State struct {
 	labPrev  *elw.Labels // committed labels saved across an in-txn full recompute
 	labUndos []labUndo
 	walker   *graph.RegionWalker
+	sweep    *graph.Sweep // zero-weight order of the full recomputes, built on first use
 
 	// defaultThreshold records that cfg.DirtyThreshold was defaulted, which
 	// enables the dirtyFloor on tiny circuits.
@@ -466,6 +467,7 @@ func (s *State) Labels() (*elw.Labels, error) {
 	}
 	seeds, neg := s.labelSeeds()
 	if neg {
+		s.rec.Count(telemetry.CounterLabelFallbacksNegative, 1)
 		return s.fallbackFull()
 	}
 	gates := s.g.NumGates()
@@ -477,7 +479,11 @@ func (s *State) Labels() (*elw.Labels, error) {
 		limit = 1
 	}
 	if !s.walker.Collect(s.wr, seeds, limit) {
+		s.rec.Count(telemetry.CounterLabelFallbacksThreshold, 1)
 		s.rec.Gauge(telemetry.GaugeDirtyFraction, permille(limit+1, gates))
+		if s.rec != telemetry.Nop {
+			s.rec.Gauge(telemetry.GaugeThresholdRegion, permille(s.walker.Finish(s.wr), gates))
+		}
 		return s.fallbackFull()
 	}
 	s.rec.SpanStart(telemetry.PhaseLabelPatch)
@@ -504,9 +510,17 @@ func (s *State) Labels() (*elw.Labels, error) {
 
 // fullRecompute runs the oracle on the current retiming, with the same
 // telemetry signature the pre-refactor loop had (an elw-recompute span).
+// Every full recompute of the state sorts with one reused Sweep.
 func (s *State) fullRecompute() (*elw.Labels, error) {
 	s.rec.Count(telemetry.CounterLabelFulls, 1)
-	return elw.ComputeLabelsRec(s.g, s.r, s.cfg.Params, s.rec)
+	if s.sweep == nil {
+		s.sweep = s.g.NewSweep()
+	}
+	order, err := s.sweep.Topo(s.r)
+	if err != nil {
+		return nil, err
+	}
+	return elw.ComputeLabelsInOrder(s.g, s.r, order, s.cfg.Params, s.rec)
 }
 
 // fallbackFull replaces the labels by a full recompute of the tentative

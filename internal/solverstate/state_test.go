@@ -339,6 +339,9 @@ func TestFallbackPaths(t *testing.T) {
 			t.Fatalf("patches=%d fallbacks=%d, want 0/1",
 				s.Counter(telemetry.CounterLabelPatches), s.Counter(telemetry.CounterLabelFallbacks))
 		}
+		if th, neg := s.Counter(telemetry.CounterLabelFallbacksThreshold), s.Counter(telemetry.CounterLabelFallbacksNegative); th != 0 || neg != 0 {
+			t.Fatalf("forced fallback counted as threshold=%d negative=%d", th, neg)
+		}
 	})
 
 	t.Run("threshold", func(t *testing.T) {
@@ -374,6 +377,52 @@ func TestFallbackPaths(t *testing.T) {
 		}
 		if s.Counter(telemetry.CounterLabelPatches) != 0 {
 			t.Fatal("patched despite sub-vertex threshold")
+		}
+		if fb, th := s.Counter(telemetry.CounterLabelFallbacks), s.Counter(telemetry.CounterLabelFallbacksThreshold); th != fb {
+			t.Fatalf("threshold fallbacks %d of %d", th, fb)
+		}
+		if s.Counter(telemetry.CounterLabelFallbacksNegative) != 0 {
+			t.Fatal("legal move counted as a negative-edge fallback")
+		}
+		// The gauge holds the whole region, not the limit it tripped: at
+		// least the one seed vertex of 20 gates.
+		if got := s.Gauge(telemetry.GaugeThresholdRegion); got < 1000/int64(g.NumGates()) {
+			t.Fatalf("threshold-region gauge %d permille", got)
+		}
+	})
+
+	t.Run("negative", func(t *testing.T) {
+		tr := telemetry.NewTrace(telemetry.TraceID{})
+		st, err := solverstate.New(g, r0, solverstate.Config{
+			Params: params, ObsInt: obsInt, SeedLabels: seedLab, Recorder: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := false
+		for v := 1; v < g.NumVertices() && !hit; v++ {
+			st.Begin([]int32{int32(v)}, one)
+			for _, e := range st.NegativeTentativeEdges() {
+				if g.EdgeFrom(e) != graph.Host && g.EdgeTo(e) != graph.Host {
+					hit = true
+				}
+			}
+			if hit {
+				if _, err := st.Labels(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.Rollback()
+		}
+		if !hit {
+			t.Skip("no single move drives a gate-to-gate edge negative in this instance")
+		}
+		s := tr.Doc("", "", "", "", false).Stats()
+		if neg, fb := s.Counter(telemetry.CounterLabelFallbacksNegative), s.Counter(telemetry.CounterLabelFallbacks); neg != 1 || fb != 1 {
+			t.Fatalf("negative=%d fallbacks=%d, want 1/1", neg, fb)
+		}
+		if s.Counter(telemetry.CounterLabelFallbacksThreshold) != 0 {
+			t.Fatal("negative-edge fallback counted as a threshold one")
 		}
 	})
 

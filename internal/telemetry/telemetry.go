@@ -221,6 +221,15 @@ const (
 	// CounterInitSweeps counts the arrival and reverse-arrival timing
 	// sweeps of one Section V initialization.
 	CounterInitSweeps
+	// CounterLabelFallbacksThreshold counts the CounterLabelFallbacks
+	// whose dirty region outgrew the threshold (GaugeThresholdRegion
+	// gauges how far).
+	CounterLabelFallbacksThreshold
+	// CounterLabelFallbacksNegative counts the CounterLabelFallbacks
+	// taken because a changed edge went negative (DESIGN.md §10). The
+	// remainder of CounterLabelFallbacks is the forced full-recompute
+	// mode.
+	CounterLabelFallbacksNegative
 
 	// NumCounters bounds the enum; not a counter.
 	NumCounters
@@ -250,6 +259,9 @@ var counterNames = [NumCounters]string{
 	CounterParWallNanos:    "par-wall-ns",
 	CounterMoveVertices:    "move-vertices",
 	CounterInitSweeps:      "init-sweeps",
+
+	CounterLabelFallbacksThreshold: "label-fallbacks-threshold",
+	CounterLabelFallbacksNegative:  "label-fallbacks-negative",
 }
 
 // String returns the counter's trace name (constant; never allocates).
@@ -284,6 +296,11 @@ const (
 	// GaugeParWorkers is the widest internal/par pool that executed a
 	// parallel section.
 	GaugeParWorkers
+	// GaugeThresholdRegion is the largest dirty region that tripped the
+	// label patcher's threshold fallback, in permille of the gate count:
+	// the whole zero-weight fanin closure of the move, walked to its end
+	// only when a recorder is attached.
+	GaugeThresholdRegion
 
 	// NumGauges bounds the enum; not a gauge.
 	NumGauges
@@ -293,6 +310,7 @@ var gaugeNames = [NumGauges]string{
 	GaugePeakRetimingSpan: "peak-retiming-span",
 	GaugeDirtyFraction:    "dirty-fraction",
 	GaugeParWorkers:       "par-workers",
+	GaugeThresholdRegion:  "threshold-region",
 }
 
 // String returns the gauge's trace name (constant; never allocates).

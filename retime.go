@@ -309,7 +309,11 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 		return nil, err
 	}
 
-	init, base, err := d.initializeBase(ctx, opt)
+	g, err := d.graph()
+	if err != nil {
+		return nil, err
+	}
+	init, base, err := d.initializeBase(ctx, g, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -386,24 +390,22 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 	for v := range total {
 		total[v] += cres.R[v]
 	}
-	rb, err := graph.Rebuild(d.c, d.g, total)
-	if err != nil {
-		rec.SpanEnd(telemetry.PhaseRebuild, err)
-		return nil, err
-	}
-	retimed, err := newDesign(rb.C)
+	// Rebuild validates the retimed circuit; its graph is extracted only
+	// if a caller asks the result for it.
+	rb, err := graph.Rebuild(d.c, g, total)
 	rec.SpanEnd(telemetry.PhaseRebuild, err)
 	if err != nil {
 		return nil, err
 	}
+	retimed := &Design{c: rb.C}
 
 	rec.SpanStart(telemetry.PhaseAnalysis)
-	before, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), init.Phi, opt.Analysis)
+	before, err := d.analyzeAt(nil, init.Phi, opt.Analysis)
 	if err != nil {
 		rec.SpanEnd(telemetry.PhaseAnalysis, err)
 		return nil, err
 	}
-	after, err := d.analyzeAt(d.g, total, init.Phi, opt.Analysis)
+	after, err := d.analyzeAt(total, init.Phi, opt.Analysis)
 	rec.SpanEnd(telemetry.PhaseAnalysis, err)
 	if err != nil {
 		return nil, err
@@ -425,20 +427,20 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 // and seed their solver state from the same labels. Memoized entries are
 // read-only: Init.R is never written after creation, the rebased Graph is
 // immutable, and the solver state clones Init.Labels before patching.
-func (d *Design) initializeBase(ctx context.Context, opt RetimeOptions) (*retime.Init, *graph.Graph, error) {
+func (d *Design) initializeBase(ctx context.Context, g *graph.Graph, opt RetimeOptions) (*retime.Init, *graph.Graph, error) {
 	if opt.initMemo != nil {
 		if init, base, ok := opt.initMemo.get(opt.Ts, opt.Th, opt.Epsilon); ok {
 			return init, base, nil
 		}
 	}
-	init, err := retime.InitializeCtx(ctx, d.g, retime.Options{
+	init, err := retime.InitializeCtx(ctx, g, retime.Options{
 		Ts: opt.Ts, Th: opt.Th, Epsilon: opt.Epsilon, Recorder: opt.Recorder,
 		Workers: opt.Workers,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	base, err := d.g.Rebase(init.R)
+	base, err := g.Rebase(init.R)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -452,7 +454,11 @@ func (d *Design) initializeBase(ctx context.Context, opt RetimeOptions) (*retime
 // move against the initialized circuit by exact state transport and
 // co-simulation.
 func (d *Design) verifyMove(initR graph.Retiming, moveR graph.Retiming) error {
-	rb, err := graph.Rebuild(d.c, d.g, initR)
+	g, err := d.graph()
+	if err != nil {
+		return err
+	}
+	rb, err := graph.Rebuild(d.c, g, initR)
 	if err != nil {
 		return err
 	}
@@ -462,17 +468,17 @@ func (d *Design) verifyMove(initR graph.Retiming, moveR graph.Retiming) error {
 	}
 	// Transfer the move onto the rebuilt circuit's graph by gate name.
 	r1 := graph.NewRetiming(g1)
-	for v := 1; v < d.g.NumVertices(); v++ {
+	for v := 1; v < g.NumVertices(); v++ {
 		if moveR[v] == 0 {
 			continue
 		}
-		n1, ok := rb.C.Lookup(d.g.Name(graph.VertexID(v)))
+		n1, ok := rb.C.Lookup(g.Name(graph.VertexID(v)))
 		if !ok {
-			return fmt.Errorf("serretime: verify: gate %q lost in rebuild", d.g.Name(graph.VertexID(v)))
+			return fmt.Errorf("serretime: verify: gate %q lost in rebuild", g.Name(graph.VertexID(v)))
 		}
 		v1, ok := g1.VertexOf(n1)
 		if !ok {
-			return fmt.Errorf("serretime: verify: gate %q not in rebuilt graph", d.g.Name(graph.VertexID(v)))
+			return fmt.Errorf("serretime: verify: gate %q not in rebuilt graph", g.Name(graph.VertexID(v)))
 		}
 		r1[v1] = moveR[v]
 	}

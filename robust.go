@@ -300,7 +300,7 @@ func (d *Design) identityResult(ctx context.Context, opt RetimeOptions) (*Retime
 		if err := d.ensureObsRec(opt.Analysis, opt.Recorder); err != nil {
 			return nil, err
 		}
-		an, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), 0, opt.Analysis)
+		an, err := d.analyzeAt(nil, 0, opt.Analysis)
 		if err != nil {
 			return nil, err
 		}

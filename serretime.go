@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"serretime/internal/benchfmt"
 	"serretime/internal/bliffmt"
@@ -43,7 +44,13 @@ import (
 // Design bundles a circuit with its retiming graph and cached analyses.
 type Design struct {
 	c *circuit.Circuit
-	g *graph.Graph
+	// g is the retiming graph; read it through graph(). A parsed or
+	// generated design extracts it up front, as part of validating the
+	// netlist. A retimed result extracts it on first use: the rebuild
+	// already validated the circuit, and the service only writes it out.
+	g     *graph.Graph
+	gErr  error
+	gOnce sync.Once
 
 	// cached observability analysis, keyed by the options that built it
 	obsOpt  AnalysisOptions
@@ -64,6 +71,18 @@ func newDesign(c *circuit.Circuit) (*Design, error) {
 		}
 		return &Design{c: c, g: g}, nil
 	})
+}
+
+// graph returns the design's retiming graph, extracting it on the first
+// call when the design was made without one. It is safe for concurrent
+// use.
+func (d *Design) graph() (*graph.Graph, error) {
+	d.gOnce.Do(func() {
+		if d.g == nil {
+			d.g, d.gErr = graph.FromCircuit(d.c, nil)
+		}
+	})
+	return d.g, d.gErr
 }
 
 // LoadBench reads an ISCAS89 .bench netlist from a file.
@@ -307,9 +326,13 @@ func (d *Design) Stats() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
+	g, err := d.graph()
+	if err != nil {
+		return Stats{}, err
+	}
 	return Stats{
 		PIs: cs.PIs, POs: cs.POs, Gates: cs.Gates, FFs: cs.DFFs,
-		Vertices: d.g.NumGates(), Edges: d.g.NumEdges(), Depth: cs.Depth,
+		Vertices: g.NumGates(), Edges: g.NumEdges(), Depth: cs.Depth,
 	}, nil
 }
 
@@ -436,15 +459,19 @@ func (d *Design) ensureObsRec(opt AnalysisOptions, rec telemetry.Recorder) error
 	if err != nil {
 		return err
 	}
-	gateObs, err := ser.VertexObs(d.c, d.g, res)
+	g, err := d.graph()
 	if err != nil {
 		return err
 	}
-	edgeObs, err := ser.EdgeObs(d.c, d.g, gateObs, res)
+	gateObs, err := ser.VertexObs(d.c, g, res)
 	if err != nil {
 		return err
 	}
-	rates, err := ser.VertexRates(d.c, d.g, nil)
+	edgeObs, err := ser.EdgeObs(d.c, g, gateObs, res)
+	if err != nil {
+		return err
+	}
+	rates, err := ser.VertexRates(d.c, g, nil)
 	if err != nil {
 		return err
 	}
@@ -478,11 +505,20 @@ func (d *Design) Analyze(phi float64, opt AnalysisOptions) (*Analysis, error) {
 		if err := d.ensureObs(opt); err != nil {
 			return nil, err
 		}
-		return d.analyzeAt(d.g, graph.NewRetiming(d.g), phi, opt)
+		return d.analyzeAt(nil, phi, opt)
 	})
 }
 
-func (d *Design) analyzeAt(g *graph.Graph, r graph.Retiming, phi float64, opt AnalysisOptions) (*Analysis, error) {
+// analyzeAt evaluates eq. (4) on the design's graph under r (nil: the
+// zero retiming) at clock period phi (0: the critical path under r).
+func (d *Design) analyzeAt(r graph.Retiming, phi float64, opt AnalysisOptions) (*Analysis, error) {
+	g, err := d.graph()
+	if err != nil {
+		return nil, err
+	}
+	if r == nil {
+		r = graph.NewRetiming(g)
+	}
 	opt = opt.normalized()
 	if phi <= 0 {
 		_, crit, err := g.ArrivalTimes(r)
